@@ -7,7 +7,8 @@
 //
 // Rows: uncontended read / write / CAS(success|fail) / hardware-adjacent
 // DCAS (cmpxchg16b) / each software DCAS emulation (success|fail), plus
-// 2- and 4-thread contended CAS and DCAS. The expected shape:
+// 2- and 4-thread contended CAS and DCAS, and DCAS on per-thread private
+// words (the emulation's own shared traffic). The expected shape:
 //   read < write < CAS < cmpxchg16b < lock-emulated DCAS < MCAS DCAS,
 // confirming the paper's ordering with software DCAS being *much* more
 // expensive than the hardware the paper hoped for.
@@ -18,6 +19,7 @@
 #include "bench_common.hpp"
 #include "dcd/dcas/cmpxchg16b.hpp"
 #include "dcd/dcas/policies.hpp"
+#include "dcd/util/align.hpp"
 
 namespace {
 
@@ -133,6 +135,28 @@ void BM_DcasFailure(benchmark::State& state) {
 BENCHMARK(BM_DcasFailure<GlobalLockDcas>);
 BENCHMARK(BM_DcasFailure<StripedLockDcas>);
 BENCHMARK(BM_DcasFailure<McasDcas>);
+
+// Each thread DCASes its own private pair, so the words never conflict:
+// any slowdown as threads are added comes from the policy's shared
+// bookkeeping (lock stripes, descriptor pools, reclamation counters), not
+// from the data.
+template <typename P>
+void BM_DcasDisjoint(benchmark::State& state) {
+  struct alignas(dcd::util::kCacheLineSize) Pair {
+    Word a{val(0)};
+    Word b{val(0)};
+  } pair;
+  std::uint64_t x = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        P::dcas(pair.a, pair.b, val(x), val(x), val(x + 1), val(x + 1)));
+    ++x;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DcasDisjoint<GlobalLockDcas>)->ThreadRange(1, 4)->UseRealTime();
+BENCHMARK(BM_DcasDisjoint<StripedLockDcas>)->ThreadRange(1, 4)->UseRealTime();
+BENCHMARK(BM_DcasDisjoint<McasDcas>)->ThreadRange(1, 4)->UseRealTime();
 
 // Managed load through each policy (MCAS loads may help in-flight ops).
 template <typename P>

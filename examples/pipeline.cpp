@@ -49,12 +49,13 @@ int main(int argc, char** argv) {
         continue;
       }
       // Simulate a transient failure 1% of the time: the item goes back to
-      // the *front* of our input so it is retried before new traffic.
-      if (rng.chance(1, 100)) {
+      // the *front* of our input so it is retried before new traffic. If
+      // the producer has refilled the slot we just emptied, the input is
+      // full and waiting for room would deadlock (only this thread drains
+      // it), so the item is retried in place instead.
+      if (rng.chance(1, 100) &&
+          stage_a.push_left(*v) == PushResult::kOkay) {
         retried.fetch_add(1, std::memory_order_relaxed);
-        while (stage_a.push_left(*v) != PushResult::kOkay) {
-          std::this_thread::yield();
-        }
         continue;
       }
       ++processed;

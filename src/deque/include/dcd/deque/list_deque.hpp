@@ -104,10 +104,24 @@ class ListDeque {
   ListDeque(const ListDeque&) = delete;
   ListDeque& operator=(const ListDeque&) = delete;
 
-  // Figure 13.
+  // Figure 13; the body is push_right_pinned.
   PushResult push_right(T v) {
+    return push_past_stalls(
+        [&](bool& stalled) { return push_right_pinned(v, stalled); });
+  }
+
+  // Figure 33; the body is push_left_pinned.
+  PushResult push_left(T v) {
+    return push_past_stalls(
+        [&](bool& stalled) { return push_left_pinned(v, stalled); });
+  }
+
+ private:
+  // Figure 13, as one pinned attempt; push_past_stalls (types.hpp) retries
+  // it unpinned while freed nodes wait in limbo.
+  PushResult push_right_pinned(T v, bool& stalled) {
     typename Reclaim::Guard guard(reclaimer_);
-    Node* node = allocate_node();                       // line 2
+    Node* node = allocate_node(&stalled);               // line 2
     if (node == nullptr) return PushResult::kFull;      // line 3
     util::AdaptiveBackoff::Session backoff;
     for (;;) {
@@ -145,9 +159,9 @@ class ListDeque {
   }
 
   // Figure 33 (mirror; erratum: the new node's L points at SL).
-  PushResult push_left(T v) {
+  PushResult push_left_pinned(T v, bool& stalled) {
     typename Reclaim::Guard guard(reclaimer_);
-    Node* node = allocate_node();
+    Node* node = allocate_node(&stalled);
     if (node == nullptr) return PushResult::kFull;
     util::AdaptiveBackoff::Session backoff;
     for (;;) {
@@ -178,6 +192,7 @@ class ListDeque {
     }
   }
 
+ public:
   // Figure 11.
   std::optional<T> pop_right() {
     typename Reclaim::Guard guard(reclaimer_);
@@ -417,11 +432,15 @@ class ListDeque {
   // this). Prompt a collect (epoch advance + own-slot drain) and retry
   // once; repeated failing pushes re-enter at fresh epochs, so the limbo
   // ages out across calls even though one collect advances at most once.
+  // On failure `stalled` reports nodes still waiting out a grace period,
+  // which a retry inside this guard cannot wait for (see push_past_stalls).
   // DCD_REQUIRES_GUARD(pool allocate pops a shared free list; the op guard must pin the epoch)
-  Node* allocate_node() {
+  Node* allocate_node(bool* stalled = nullptr) {
     if (void* p = pool_.allocate()) return static_cast<Node*>(p);
-    reclaimer_.collect();
-    return static_cast<Node*>(pool_.allocate());
+    const bool limbo = reclaim::collect_stalled(reclaimer_);
+    void* p = pool_.allocate();
+    if (p == nullptr && stalled != nullptr) *stalled = limbo;
+    return static_cast<Node*>(p);
   }
 
   // Figure 17.

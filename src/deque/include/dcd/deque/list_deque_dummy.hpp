@@ -94,8 +94,21 @@ class ListDequeDummy {
   ListDequeDummy& operator=(const ListDequeDummy&) = delete;
 
   PushResult push_right(T v) {
+    return push_past_stalls(
+        [&](bool& stalled) { return push_right_pinned(v, stalled); });
+  }
+
+  PushResult push_left(T v) {
+    return push_past_stalls(
+        [&](bool& stalled) { return push_left_pinned(v, stalled); });
+  }
+
+ private:
+  // One pinned push attempt; push_past_stalls (types.hpp) retries it
+  // unpinned while freed nodes wait in limbo.
+  PushResult push_right_pinned(T v, bool& stalled) {
     typename Reclaim::Guard guard(reclaimer_);
-    Node* node = allocate_node();
+    Node* node = allocate_node(&stalled);
     if (node == nullptr) return PushResult::kFull;
     util::AdaptiveBackoff::Session backoff;
     for (;;) {
@@ -119,9 +132,9 @@ class ListDequeDummy {
     }
   }
 
-  PushResult push_left(T v) {
+  PushResult push_left_pinned(T v, bool& stalled) {
     typename Reclaim::Guard guard(reclaimer_);
-    Node* node = allocate_node();
+    Node* node = allocate_node(&stalled);
     if (node == nullptr) return PushResult::kFull;
     util::AdaptiveBackoff::Session backoff;
     for (;;) {
@@ -145,6 +158,7 @@ class ListDequeDummy {
     }
   }
 
+ public:
   std::optional<T> pop_right() {
     typename Reclaim::Guard guard(reclaimer_);
     util::AdaptiveBackoff::Session backoff;
@@ -343,11 +357,14 @@ class ListDequeDummy {
   // Prompt a collect and retry once before reporting exhaustion. The pop
   // paths need this even more than the pushes — a pop that cannot allocate
   // its dummy spins, so a stuck limbo would livelock it outright.
+  // `stalled` as in ListDeque::allocate_node.
   // DCD_REQUIRES_GUARD(pool allocate pops a shared free list; the op guard must pin the epoch)
-  Node* allocate_node() {
+  Node* allocate_node(bool* stalled = nullptr) {
     if (void* p = pool_.allocate()) return static_cast<Node*>(p);
-    reclaimer_.collect();
-    return static_cast<Node*>(pool_.allocate());
+    const bool limbo = reclaim::collect_stalled(reclaimer_);
+    void* p = pool_.allocate();
+    if (p == nullptr && stalled != nullptr) *stalled = limbo;
+    return static_cast<Node*>(p);
   }
 
   // DCD_REQUIRES_GUARD(reads a chain node's value word; live only under the caller's protection)

@@ -54,6 +54,20 @@ concept PoolPolicy =
 
 static_assert(PoolPolicy<NodePool>);
 
+// Runs r.collect() and reports whether reclamation is stalled: retired
+// nodes still wait for a grace period (behind a reader pinned at an older
+// epoch, say), so a later collect may free them. A policy reports that as
+// collect()'s bool; one whose collect() returns void never stalls.
+template <ReclaimPolicy R>
+bool collect_stalled(R& r) {
+  if constexpr (std::is_void_v<decltype(r.collect())>) {
+    r.collect();
+    return false;
+  } else {
+    return r.collect();
+  }
+}
+
 // Objects reclaimed purely by lock-free reference counting. The count word
 // must be the object's first member so a stale LFRC load that probes
 // recycled storage lands on a Word, never on arbitrary payload bytes.

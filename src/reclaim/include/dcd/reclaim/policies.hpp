@@ -37,8 +37,9 @@ class EbrReclaim {
     domain_.retire(node, Pool::deallocate_cb, &pool);
   }
 
-  // Prompt best-effort reclamation (tests).
-  void collect() { domain_.collect(); }
+  // Prompt best-effort reclamation. True while retired nodes still wait
+  // for a grace period (see EbrDomain::collect).
+  bool collect() { return domain_.collect(); }
 
   EbrDomain& domain() { return domain_; }
 

@@ -11,6 +11,7 @@
 #include "dcd/reclaim/ebr.hpp"
 #include "dcd/util/barrier.hpp"
 #include "dcd/util/rng.hpp"
+#include "dcd/util/thread_registry.hpp"
 
 namespace {
 
@@ -159,6 +160,64 @@ TEST(Mcas, ViewFormRetriesTransientFailures) {
   EXPECT_FALSE(McasDcas::dcas_view(a, b, oa, ob, val(9), val(9)));
   EXPECT_EQ(oa, val(3));
   EXPECT_EQ(ob, val(4));
+}
+
+
+TEST(McasDescriptorCache, SurvivesRegistrySlotRecycling) {
+  // More threads over the test's life than ThreadRegistry::kMaxThreads, at
+  // most kLive at once, so registry slots (and the per-slot descriptor
+  // caches) pass from exited threads to new ones along with the limbo
+  // those threads left behind. Each thread DCASes a private pair, which
+  // only its own cache serves, and one pair shared with everyone.
+  constexpr int kLive = 4;
+  constexpr int kWaves =
+      static_cast<int>(dcd::util::ThreadRegistry::kMaxThreads) / kLive + 8;
+  constexpr int kBurst = 100;
+  Word shared_a(val(0)), shared_b(val(0));
+  std::atomic<int> bad{0};
+  for (int w = 0; w < kWaves; ++w) {
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kLive; ++t) {
+      ts.emplace_back([&] {
+        Word a(val(0)), b(val(0));
+        for (int i = 0; i < kBurst; ++i) {
+          if (!McasDcas::dcas(a, b, val(i), val(i), val(i + 1), val(i + 1))) {
+            bad.fetch_add(1);
+          }
+          for (;;) {
+            const std::uint64_t va = McasDcas::load(shared_a);
+            const std::uint64_t vb = McasDcas::load(shared_b);
+            if (McasDcas::dcas(shared_a, shared_b, va, vb,
+                               val(decode_payload(va) + 1),
+                               val(decode_payload(vb) + 1))) {
+              break;
+            }
+          }
+        }
+        if (McasDcas::load(a) != val(kBurst) ||
+            McasDcas::load(b) != val(kBurst)) {
+          bad.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : ts) t.join();
+  }
+  EXPECT_EQ(bad.load(), 0);
+  constexpr std::uint64_t kTotal = std::uint64_t{kWaves} * kLive * kBurst;
+  EXPECT_EQ(McasDcas::load(shared_a), val(kTotal));
+  EXPECT_EQ(McasDcas::load(shared_b), val(kTotal));
+
+  // This thread's own limbo still drains into its cache afterwards.
+  auto& domain = dcd::reclaim::global_ebr_domain();
+  domain.collect();
+  const std::uint64_t base = domain.pending_count();
+  Word a(val(0)), b(val(0));
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(McasDcas::dcas(a, b, val(i), val(i), val(i + 1), val(i + 1)));
+  }
+  for (int i = 0; i < 3; ++i) domain.collect();
+  EXPECT_LT(domain.pending_count(), base + 512)
+      << "own descriptors not reclaimed";
 }
 
 }  // namespace

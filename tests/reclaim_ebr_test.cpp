@@ -246,4 +246,60 @@ TEST(Ebr, StressNoUseAfterFree) {
   delete shared.load();
 }
 
+
+TEST(Ebr, LiveCountersAreMonotoneLowerBounds) {
+  // The counters are per-slot sums read while writers run. Each read must
+  // be a lower bound that never decreases, and pending_count() (freed read
+  // before retired) must never wrap below zero.
+  const int base_live = Tracked::live.load();
+  {
+    EbrDomain domain;
+    constexpr int kThreads = 3;
+    constexpr int kIters = 20000;
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> reads{0};
+    std::atomic<std::uint64_t> violations{0};
+    std::thread reader([&] {
+      std::uint64_t last_freed = 0, last_retired = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::uint64_t pending = domain.pending_count();
+        const std::uint64_t freed = domain.freed_count();
+        const std::uint64_t retired = domain.retired_count();
+        if (pending > retired || freed > retired || freed < last_freed ||
+            retired < last_retired) {
+          violations.fetch_add(1);
+        }
+        last_freed = freed;
+        last_retired = retired;
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    dcd::util::SpinBarrier barrier(kThreads);
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&] {
+        barrier.arrive_and_wait();
+        for (int i = 0; i < kIters; ++i) {
+          {
+            EbrDomain::Guard guard(domain);
+            domain.retire_delete(new Tracked);
+          }
+          if (i % 256 == 0) domain.collect();
+        }
+      });
+    }
+    for (auto& t : ts) t.join();
+    stop.store(true, std::memory_order_release);
+    reader.join();
+    EXPECT_EQ(violations.load(), 0u);
+    EXPECT_GT(reads.load(), 0u);
+    // Quiescent now, so the sums are exact.
+    const std::uint64_t retired = domain.retired_count();
+    EXPECT_EQ(retired, static_cast<std::uint64_t>(kThreads * kIters));
+    EXPECT_GT(domain.freed_count(), 0u) << "epochs never advanced";
+    EXPECT_EQ(domain.pending_count(), retired - domain.freed_count());
+  }
+  EXPECT_EQ(Tracked::live.load(), base_live);
+}
+
 }  // namespace
