@@ -178,7 +178,7 @@ class ChaosController {
   // Park the thread that produces the nth (1-based) hit of `point` until
   // release(). "Kill" is a park the test never releases: the victim stays
   // parked until controller teardown, modelling a thread that dies at the
-  // sync point. Returns a rule handle.
+  // sync point. `point` must satisfy is_sync_point. Returns a rule handle.
   std::size_t arm_park(const char* point, std::uint64_t nth);
 
   // True while a thread is blocked inside rule `r`'s park.
@@ -342,5 +342,10 @@ inline constexpr const char* kExecSteal = "exec.steal";
 inline constexpr const char* kExecPark = "exec.park";
 inline constexpr const char* kExecInject = "exec.inject";
 }  // namespace sync_point
+
+// True iff `point` names one of the sync_point constants above.
+// ChaosController::arm_park asserts it: a typo'd point would compile, arm
+// and simply never fire.
+bool is_sync_point(const char* point) noexcept;
 
 }  // namespace dcd::dcas

@@ -59,6 +59,19 @@ const char* shape_name(DcasShape s) noexcept {
   return "?";
 }
 
+bool is_sync_point(const char* point) noexcept {
+  namespace sp = sync_point;
+  for (const char* known :
+       {sp::kDcasAny, sp::kEmptyConfirm, sp::kPopCommit, sp::kLogicalDelete,
+        sp::kSplice, sp::kTwoNullSplice, sp::kElimOffer, sp::kElimTake,
+        sp::kElimCancel, sp::kElimClear, sp::kMagazineRefill,
+        sp::kMagazineFlush, sp::kExecSteal, sp::kExecPark,
+        sp::kExecInject}) {
+    if (std::strcmp(point, known) == 0) return true;
+  }
+  return false;
+}
+
 ChaosSchedule ChaosSchedule::from_seed(std::uint64_t seed) noexcept {
   // Expand the seed through SplitMix64 so nearby seeds give unrelated
   // parameters; keep the ranges mild enough that chaos suites still finish
@@ -211,6 +224,7 @@ std::size_t ChaosController::arm_park(const char* point, std::uint64_t nth) {
       impl_->rule_count.load(std::memory_order_relaxed);
   DCD_ASSERT(i < kMaxRules);
   DCD_ASSERT(nth >= 1);
+  DCD_ASSERT(is_sync_point(point));
   impl_->rules[i].point = point;
   impl_->rules[i].nth = nth;
   // DCD_HB(chaos.rules.publish, role=release)

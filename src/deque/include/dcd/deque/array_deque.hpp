@@ -24,7 +24,7 @@
 //
 // Linearizability and lock-freedom arguments are the paper's Theorem 3.1;
 // this repo re-checks them with the linearizability checker (tests) and the
-// exhaustive interleaving model in dcd::model.
+// DPOR model checker in dcd::mc, which explores all four ArrayOptions.
 #pragma once
 
 #include <cstddef>

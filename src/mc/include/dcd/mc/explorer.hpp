@@ -1,17 +1,17 @@
 // Exhaustive stateless model checker over DCAS sync points.
 //
 // Explores every interleaving of a bounded Scenario's shared-memory steps
-// against the *production* deque templates (dcd::model is the abstract
-// counterpart: spec-level step machines; this explorer compiles
-// ArrayDeque/ListDeque over SchedDcasT and schedules the real code). Each
-// execution re-runs the scenario under a forced grant sequence; classic
-// Flanagan–Godefroid DPOR (vector-clock race detection + backtrack sets)
-// with sleep sets prunes interleavings that only reorder independent
+// against the *production* deque templates: ArrayDeque (all four
+// ArrayOptions), ListDeque and ListDequeDummy compiled over SchedDcasT.
+// Each execution re-runs the scenario under a forced grant sequence;
+// classic Flanagan–Godefroid DPOR (vector-clock race detection + backtrack
+// sets) with sleep sets prunes interleavings that only reorder independent
 // steps, preserving coverage of every Mazurkiewicz trace.
 //
 // At every explored state the §5 representation invariant is audited
-// (verify::RepAuditor over the deque's live rep view — safe because all
-// model threads are parked *between* atomic steps); at the end of every
+// (verify::RepAuditor over the deque's live rep view, or the dummy
+// variant's own RepInv check — safe because all model threads are parked
+// *between* atomic steps); at the end of every
 // execution the recorded history goes to the WGL linearizability checker.
 // The first violation stops the search and is reported with the exact
 // grant schedule that produced it, greedily minimized (fewer context

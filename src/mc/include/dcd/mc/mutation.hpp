@@ -35,6 +35,11 @@ enum class Mutation : std::uint8_t {
   // the popped cell. The cell is then a non-null value inside the
   // supposedly-null region (Figure 18 violation) and gets popped twice.
   kPopKeepsValue,
+  // List deque: a push skips Figure 13's line 7. Loads inside a push see
+  // the sentinel word with its deleted bit hidden, and the push's DCAS
+  // expects the bit back, so the push splices its node in *behind* the
+  // logically-deleted null node, stranding that null mid-chain.
+  kPushSkipsDeletedCheck,
 };
 
 const char* mutation_name(Mutation m) noexcept;
@@ -53,6 +58,25 @@ class ScopedMutation {
   ScopedMutation& operator=(const ScopedMutation&) = delete;
 };
 
+// Marks the calling thread as running a push for the scope's lifetime. The
+// scenario executors open one around every op; kPushSkipsDeletedCheck
+// corrupts only what a push sees.
+class PushScope {
+ public:
+  explicit PushScope(bool push) noexcept : outer_(in_push_) {
+    in_push_ = push;
+  }
+  ~PushScope() { in_push_ = outer_; }
+  PushScope(const PushScope&) = delete;
+  PushScope& operator=(const PushScope&) = delete;
+
+  static bool active() noexcept { return in_push_; }
+
+ private:
+  static inline thread_local bool in_push_ = false;
+  bool outer_;
+};
+
 template <dcas::DcasPolicy Inner>
 class MutantDcasT {
  public:
@@ -62,7 +86,10 @@ class MutantDcasT {
   using InnerPolicy = Inner;
 
   static std::uint64_t load(const dcas::Word& w) noexcept {
-    return Inner::load(w);
+    const std::uint64_t v = Inner::load(w);
+    if (!hides_deleted_bit() || !dcas::deleted_of(v)) return v;
+    hidden_ = {&w, v};
+    return dcas::clear_deleted(v);
   }
 
   static void store_init(dcas::Word& w, std::uint64_t v) noexcept {
@@ -77,20 +104,37 @@ class MutantDcasT {
   static bool dcas(dcas::Word& a, dcas::Word& b, std::uint64_t oa,
                    std::uint64_t ob, std::uint64_t na,
                    std::uint64_t nb) noexcept {
-    mutate(oa, ob, na, nb);
+    mutate(a, oa, ob, na, nb);
     return Inner::dcas(a, b, oa, ob, na, nb);
   }
 
   static bool dcas_view(dcas::Word& a, dcas::Word& b, std::uint64_t& oa,
                         std::uint64_t& ob, std::uint64_t na,
                         std::uint64_t nb) noexcept {
-    mutate(oa, ob, na, nb);
+    mutate(a, oa, ob, na, nb);
     return Inner::dcas_view(a, b, oa, ob, na, nb);
   }
 
  private:
-  static void mutate(std::uint64_t oa, std::uint64_t ob, std::uint64_t& na,
+  struct Hidden {
+    const dcas::Word* word = nullptr;
+    std::uint64_t value = 0;  // as loaded, deleted bit included
+  };
+  static inline thread_local Hidden hidden_{};
+
+  static bool hides_deleted_bit() noexcept {
+    return active_mutation() == Mutation::kPushSkipsDeletedCheck &&
+           PushScope::active();
+  }
+
+  static void mutate(const dcas::Word& a, std::uint64_t& oa,
+                     std::uint64_t ob, std::uint64_t& na,
                      std::uint64_t& nb) noexcept {
+    if (hides_deleted_bit() && &a == hidden_.word &&
+        oa == dcas::clear_deleted(hidden_.value)) {
+      oa = hidden_.value;  // expect the bit the push never looked at
+      return;
+    }
     const Mutation m = active_mutation();
     if (m == Mutation::kNone) return;
     const dcas::DcasShape s = dcas::classify_dcas(oa, ob, na, nb);

@@ -11,16 +11,19 @@
 //   * run_replay_chaos  — real preemptive threads under
 //                         ChaosDcas<MutantDcasT<GlobalLockDcas>>, with the
 //                         file's `chaos-park` rules staging the racy
-//                         window; this is the "one command repro" path
-//                         that shows the bug is not an artifact of the
-//                         cooperative scheduler.
+//                         window (threads then start one at a time, each
+//                         running until it parks or finishes); this is the
+//                         "one command repro" path that shows the bug is
+//                         not an artifact of the cooperative scheduler.
 //
 // Format (one directive per line; '#' starts a comment):
 //
 //   name: array-n2-mixed
-//   deque: array | list
+//   deque: array | array-no-recheck | array-no-view | array-bare | list
+//          | list-elim | list-dummy
 //   capacity: 64
 //   mutation: none | drop-deleted-bit | pop-keeps-value
+//             | push-skips-deleted-check
 //   setup: pushRight(1) pushRight(2)
 //   thread: popLeft popLeft          # one line per model thread
 //   thread: popRight popRight

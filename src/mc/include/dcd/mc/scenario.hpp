@@ -2,12 +2,14 @@
 //
 // A scenario is what the explorer enumerates interleavings *of*: a deque
 // kind and bound, a single-threaded setup prefix, and a small per-thread
-// program of operations (2–3 threads × 3–5 ops keeps the interleaving
-// space in the 10^4–10^6 range DPOR handles in seconds). The builtin
-// corpus covers the ISSUE acceptance set — array deques of capacity 2 and
-// 3 under 2 threads × 3 ops, list deques under 2 threads × 3 ops, and a
+// program of operations (2–4 threads × 1–3 ops keeps the interleaving
+// space in the 10^2–10^4 range DPOR handles in seconds). The setup prefix
+// is also how a scenario reaches a start state other than the empty deque:
+// a wrapped array segment, a full capacity-1 array. The builtin corpus
+// covers array deques of capacity 1–4, list deques under 2–3 threads, a
 // scenario engineered to drive the list deque through Figure 16's
-// two-logically-deleted-nodes state and its double-splice resolution.
+// two-logically-deleted-nodes state and its double-splice resolution, and
+// the same race on the dummy-node variant.
 #pragma once
 
 #include <cstddef>
@@ -20,10 +22,26 @@
 
 namespace dcd::mc {
 
-// kListElim is the list deque with the per-end elimination layer compiled
-// in (one slot, one poll — the smallest configuration that still exercises
-// every protocol transition; see DESIGN.md §13).
-enum class DequeKind : std::uint8_t { kArray, kList, kListElim };
+// The four array kinds are §3's optional fragments (deque::ArrayOptions):
+// kArray keeps line 7 and lines 17–18, kArrayNoRecheck drops line 7,
+// kArrayNoView drops lines 17–18, kArrayBare drops both. kListElim is the
+// list deque with the per-end elimination layer compiled in (one slot, one
+// poll — the smallest configuration that still exercises every protocol
+// transition; see DESIGN.md §13). kListDummy is footnote 4's dummy-node
+// variant (deque::ListDequeDummy).
+enum class DequeKind : std::uint8_t {
+  kArray,
+  kArrayNoRecheck,
+  kArrayNoView,
+  kArrayBare,
+  kList,
+  kListElim,
+  kListDummy,
+};
+
+inline constexpr DequeKind kArrayKinds[] = {
+    DequeKind::kArray, DequeKind::kArrayNoRecheck, DequeKind::kArrayNoView,
+    DequeKind::kArrayBare};
 
 const char* deque_kind_name(DequeKind k) noexcept;
 bool deque_kind_from_name(const char* name, DequeKind& out) noexcept;
@@ -36,7 +54,7 @@ struct ScenarioOp {
 struct Scenario {
   std::string name;
   DequeKind deque = DequeKind::kList;
-  // Array: length_S. List: node-pool bound — size it generously (the
+  // Array kinds: length_S. List kinds: node-pool bound — size it generously (the
   // default 64 nodes) so a parked popper's pinned limbo nodes can never
   // starve the allocator and surface a spurious "full" the linearizability
   // spec would reject.

@@ -9,18 +9,14 @@
 #include <utility>
 #include <vector>
 
+#include "deques.hpp"
+
 #include "dcd/dcas/global_lock.hpp"
 #include "dcd/dcas/sched.hpp"
-#include "dcd/deque/array_deque.hpp"
-#include "dcd/deque/list_deque.hpp"
 #include "dcd/mc/mutation.hpp"
 #include "dcd/mc/runtime.hpp"
-#include "dcd/reclaim/policies.hpp"
 #include "dcd/util/assert.hpp"
-#include "dcd/verify/driver.hpp"
 #include "dcd/verify/linearizability.hpp"
-#include "dcd/verify/rep_auditor.hpp"
-#include "dcd/verify/spec_deque.hpp"
 
 namespace dcd::mc {
 
@@ -41,78 +37,8 @@ namespace {
 // the access the algorithm intended), mutation underneath (corrupts what
 // reaches memory), serialising lock policy at the bottom.
 using McPolicy = dcas::SchedDcasT<MutantDcasT<dcas::GlobalLockDcas>>;
-using McArray = deque::ArrayDeque<std::uint64_t, McPolicy>;
-using McList = deque::ListDeque<std::uint64_t, McPolicy, reclaim::EbrReclaim>;
-// Elimination variant: one slot and one poll keep the extra interleaving
-// depth minimal while every protocol transition (offer/take/cancel/clear)
-// stays reachable. The magazine pool's internal atomics are raw
-// std::atomic, not policy Words, so the allocator adds no scheduling
-// points in either list variant.
-using McListElim =
-    deque::ListDeque<std::uint64_t, McPolicy, reclaim::EbrReclaim,
-                     reclaim::MagazinePool,
-                     deque::ListOptions{.elimination = true,
-                                        .elim_slots = 1,
-                                        .elim_polls = 1}>;
 
 static_assert(dcas::DcasPolicy<McPolicy>);
-
-template <typename D>
-struct DequeTraits;
-
-template <>
-struct DequeTraits<McArray> {
-  static std::unique_ptr<McArray> make(const Scenario& sc) {
-    return std::make_unique<McArray>(sc.capacity);
-  }
-  static std::size_t checker_capacity(const Scenario& sc) {
-    return sc.capacity;
-  }
-  static verify::AuditResult audit(const McArray& d) {
-    return verify::RepAuditor::audit_array(d.rep_view_unsynchronized());
-  }
-  static bool two_deleted(const McArray&) { return false; }
-  static std::string state_fingerprint(const McArray& d) {
-    const deque::ArrayRepView v = d.rep_view_unsynchronized();
-    std::string s = "L" + std::to_string(v.l) + "R" + std::to_string(v.r);
-    for (const std::uint64_t w : v.cells) s += "," + std::to_string(w);
-    return s;
-  }
-};
-
-// Shared by the plain and elimination list variants: the elimination layer
-// is invisible to the list representation (slots are quiescent — back to
-// kNull — whenever audit or fingerprint taps run between steps of a
-// completed protocol, and an in-flight offer lives outside the rep view).
-template <typename D>
-struct ListDequeTraits {
-  static std::unique_ptr<D> make(const Scenario& sc) {
-    return std::make_unique<D>(sc.capacity);
-  }
-  static std::size_t checker_capacity(const Scenario&) {
-    return verify::SpecDeque::kUnbounded;
-  }
-  static verify::AuditResult audit(const D& d) {
-    return verify::RepAuditor::audit_list(d.rep_view_unsynchronized());
-  }
-  static bool two_deleted(const D& d) {
-    return d.left_deleted_bit_unsynchronized() &&
-           d.right_deleted_bit_unsynchronized();
-  }
-  static std::string state_fingerprint(const D& d) {
-    const deque::ListRepView v = d.rep_view_unsynchronized();
-    std::string s = v.left_deleted ? "D[" : "[";
-    for (const std::uint64_t w : v.values) s += std::to_string(w) + ",";
-    s += v.right_deleted ? "]D" : "]";
-    return s;
-  }
-};
-
-template <>
-struct DequeTraits<McList> : ListDequeTraits<McList> {};
-
-template <>
-struct DequeTraits<McListElim> : ListDequeTraits<McListElim> {};
 
 std::string op_summary(const verify::Operation& op) {
   std::string s = verify::op_name(op.type);
@@ -135,11 +61,11 @@ class Harness {
 
   void reset() {
     deque_.reset();
-    deque_ = DequeTraits<D>::make(sc_);
+    deque_ = std::make_unique<D>(sc_.capacity);
     setup_.ops.clear();
     thread_ops_.assign(sc_.threads.size(), {});
     for (const ScenarioOp& op : sc_.setup) {
-      setup_.append(verify::recorded_op(*deque_, op.type, op.arg));
+      setup_.append(run_op(*deque_, op));
     }
   }
 
@@ -149,8 +75,7 @@ class Harness {
     for (std::size_t t = 0; t < sc_.threads.size(); ++t) {
       out.push_back([this, t] {
         for (const ScenarioOp& op : sc_.threads[t]) {
-          thread_ops_[t].push_back(
-              verify::recorded_op(*deque_, op.type, op.arg));
+          thread_ops_[t].push_back(run_op(*deque_, op));
         }
       });
     }
@@ -168,7 +93,7 @@ class Harness {
   verify::AuditResult audit() const { return DequeTraits<D>::audit(*deque_); }
   bool two_deleted() const { return DequeTraits<D>::two_deleted(*deque_); }
   std::size_t checker_capacity() const {
-    return DequeTraits<D>::checker_capacity(sc_);
+    return DequeTraits<D>::checker_capacity(sc_.capacity);
   }
 
   std::string outcome_fingerprint() const {
@@ -180,7 +105,7 @@ class Harness {
       }
       s += '|';
     }
-    s += DequeTraits<D>::state_fingerprint(*deque_);
+    s += DequeTraits<D>::fingerprint(*deque_);
     return s;
   }
 
@@ -731,15 +656,9 @@ ExploreResult explore_impl(const Scenario& sc, const ExplorerOptions& opt) {
 
 ExploreResult explore(const Scenario& scenario,
                       const ExplorerOptions& options) {
-  switch (scenario.deque) {
-    case DequeKind::kArray:
-      return explore_impl<McArray>(scenario, options);
-    case DequeKind::kList:
-      return explore_impl<McList>(scenario, options);
-    case DequeKind::kListElim:
-      return explore_impl<McListElim>(scenario, options);
-  }
-  return {};
+  return with_deque_type<McPolicy>(scenario.deque, [&]<typename D>() {
+    return explore_impl<D>(scenario, options);
+  });
 }
 
 ScheduleRunReport run_schedule(const Scenario& scenario,
@@ -748,24 +667,11 @@ ScheduleRunReport run_schedule(const Scenario& scenario,
   const int threads = static_cast<int>(scenario.threads.size());
   DCD_ASSERT(threads >= 1);
   ScopedMutation mutation(scenario.mutation);
-  switch (scenario.deque) {
-    case DequeKind::kArray: {
-      Harness<McArray> harness(scenario);
-      Runtime rt(threads);
-      return run_forced(rt, harness, forced, options);
-    }
-    case DequeKind::kList: {
-      Harness<McList> harness(scenario);
-      Runtime rt(threads);
-      return run_forced(rt, harness, forced, options);
-    }
-    case DequeKind::kListElim: {
-      Harness<McListElim> harness(scenario);
-      Runtime rt(threads);
-      return run_forced(rt, harness, forced, options);
-    }
-  }
-  return {};
+  return with_deque_type<McPolicy>(scenario.deque, [&]<typename D>() {
+    Harness<D> harness(scenario);
+    Runtime rt(threads);
+    return run_forced(rt, harness, forced, options);
+  });
 }
 
 }  // namespace dcd::mc

@@ -14,13 +14,15 @@ const char* mutation_name(Mutation m) noexcept {
     case Mutation::kNone: return "none";
     case Mutation::kDropDeletedBit: return "drop-deleted-bit";
     case Mutation::kPopKeepsValue: return "pop-keeps-value";
+    case Mutation::kPushSkipsDeletedCheck: return "push-skips-deleted-check";
   }
   return "?";
 }
 
 bool mutation_from_name(const char* name, Mutation& out) noexcept {
   for (const Mutation m : {Mutation::kNone, Mutation::kDropDeletedBit,
-                           Mutation::kPopKeepsValue}) {
+                           Mutation::kPopKeepsValue,
+                           Mutation::kPushSkipsDeletedCheck}) {
     if (std::strcmp(name, mutation_name(m)) == 0) {
       out = m;
       return true;

@@ -1,58 +1,40 @@
 #include "dcd/mc/replay.hpp"
 
-#include <cstring>
+#include <atomic>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <thread>
 #include <utility>
 
+#include "deques.hpp"
+
 #include "dcd/dcas/chaos.hpp"
 #include "dcd/dcas/global_lock.hpp"
-#include "dcd/deque/array_deque.hpp"
-#include "dcd/deque/list_deque.hpp"
 #include "dcd/mc/mutation.hpp"
-#include "dcd/reclaim/policies.hpp"
-#include "dcd/verify/driver.hpp"
 #include "dcd/verify/linearizability.hpp"
-#include "dcd/verify/rep_auditor.hpp"
-#include "dcd/verify/spec_deque.hpp"
 
 namespace dcd::mc {
 
 namespace {
 
-const char* const kSyncPoints[] = {
-    dcas::sync_point::kDcasAny,      dcas::sync_point::kEmptyConfirm,
-    dcas::sync_point::kPopCommit,    dcas::sync_point::kLogicalDelete,
-    dcas::sync_point::kSplice,       dcas::sync_point::kTwoNullSplice,
-};
-
-bool known_sync_point(const std::string& name) {
-  for (const char* p : kSyncPoints) {
-    if (name == p) return true;
+// Shape whose successful writes a sync-point name counts ("dcas.any" is
+// handled by the caller as the sum over all shapes).
+bool shape_of_point(const std::string& name, dcas::DcasShape& out) {
+  for (std::size_t i = 1; i < dcas::kDcasShapeCount; ++i) {
+    const auto s = static_cast<dcas::DcasShape>(i);
+    if (name == dcas::shape_name(s)) {
+      out = s;
+      return true;
+    }
   }
   return false;
 }
 
-// Shape whose successful writes a sync-point name counts ("dcas.any" is
-// handled by the caller as the sum over all shapes).
-bool shape_of_point(const std::string& name, dcas::DcasShape& out) {
-  using dcas::DcasShape;
-  if (name == dcas::sync_point::kEmptyConfirm) {
-    out = DcasShape::kEmptyConfirm;
-  } else if (name == dcas::sync_point::kPopCommit) {
-    out = DcasShape::kPopCommit;
-  } else if (name == dcas::sync_point::kLogicalDelete) {
-    out = DcasShape::kLogicalDelete;
-  } else if (name == dcas::sync_point::kSplice) {
-    out = DcasShape::kSplice;
-  } else if (name == dcas::sync_point::kTwoNullSplice) {
-    out = DcasShape::kTwoNullSplice;
-  } else {
-    return false;
-  }
-  return true;
+bool countable_point(const std::string& name) {
+  dcas::DcasShape s{};
+  return name == dcas::sync_point::kDcasAny || shape_of_point(name, s);
 }
 
 std::uint64_t count_for_point(
@@ -131,7 +113,8 @@ bool parse_replay(const std::string& text, ReplayFile& out,
     } else if (key == "deque") {
       if (words.size() != 1 ||
           !deque_kind_from_name(words[0].c_str(), out.scenario.deque)) {
-        return fail("deque must be 'array' or 'list'");
+        return fail("unknown deque kind '" +
+                    (words.empty() ? "" : words[0]) + "'");
       }
     } else if (key == "capacity") {
       if (words.size() != 1) return fail("capacity takes one integer");
@@ -164,8 +147,8 @@ bool parse_replay(const std::string& text, ReplayFile& out,
       if (words.size() != 3 || words[1] != ">=") {
         return fail("expect-shape wants '<point> >= N'");
       }
-      if (!known_sync_point(words[0])) {
-        return fail("unknown sync point '" + words[0] + "'");
+      if (!countable_point(words[0])) {
+        return fail("unknown DCAS sync point '" + words[0] + "'");
       }
       out.shape_expects.push_back({words[0], std::stoull(words[2])});
     } else if (key == "expect-two-deleted") {
@@ -179,7 +162,7 @@ bool parse_replay(const std::string& text, ReplayFile& out,
       }
     } else if (key == "chaos-park") {
       if (words.size() != 2) return fail("chaos-park wants '<point> <nth>'");
-      if (!known_sync_point(words[0])) {
+      if (!dcas::is_sync_point(words[0].c_str())) {
         return fail("unknown sync point '" + words[0] + "'");
       }
       out.chaos_parks.push_back({words[0], std::stoull(words[1])});
@@ -338,26 +321,9 @@ namespace {
 // but faults come from the preemptive ChaosController instead of the
 // cooperative scheduler.
 using ChaosPolicy = dcas::ChaosDcas<MutantDcasT<dcas::GlobalLockDcas>>;
-using ChaosArray = deque::ArrayDeque<std::uint64_t, ChaosPolicy>;
-using ChaosList = deque::ListDeque<std::uint64_t, ChaosPolicy,
-                                   reclaim::EbrReclaim>;
-// Mirrors the explorer's McListElim configuration so a list-elim
-// counterexample replays against the same protocol the checker explored —
-// with the elimination CASes visible to chaos park rules (elim.offer &c).
-using ChaosListElim =
-    deque::ListDeque<std::uint64_t, ChaosPolicy, reclaim::EbrReclaim,
-                     reclaim::MagazinePool,
-                     deque::ListOptions{.elimination = true,
-                                        .elim_slots = 1,
-                                        .elim_polls = 1}>;
 
 template <typename D>
-inline constexpr bool kIsListKind =
-    std::is_same_v<D, ChaosList> || std::is_same_v<D, ChaosListElim>;
-
-template <typename D>
-ReplayOutcome run_chaos_impl(const ReplayFile& file, std::size_t capacity,
-                             std::size_t checker_capacity,
+ReplayOutcome run_chaos_impl(const ReplayFile& file,
                              std::uint64_t park_timeout_ms) {
   const Scenario& sc = file.scenario;
   ScopedMutation mutation(sc.mutation);
@@ -370,25 +336,48 @@ ReplayOutcome run_chaos_impl(const ReplayFile& file, std::size_t capacity,
   for (const ReplayFile::ChaosPark& p : file.chaos_parks) {
     rules.push_back(controller.arm_park(p.point.c_str(), p.nth));
   }
+  const auto parked_now = [&] {
+    std::size_t n = 0;
+    for (const std::size_t r : rules) n += controller.parked(r) ? 1 : 0;
+    return n;
+  };
 
-  D deque(capacity);
+  D deque(sc.capacity);
   verify::History history;
-  for (const ScenarioOp& op : sc.setup) {
-    history.append(verify::recorded_op(deque, op.type, op.arg));
-  }
+  for (const ScenarioOp& op : sc.setup) history.append(run_op(deque, op));
 
-  std::vector<std::vector<verify::Operation>> thread_ops(sc.threads.size());
+  // Staged start: with parks armed, each thread runs alone until it parks
+  // or finishes before the next one starts. The parked windows then open
+  // in file order and every later thread runs inside them, so the staging
+  // does not race thread start-up.
+  const std::size_t n = sc.threads.size();
+  std::vector<std::vector<verify::Operation>> thread_ops(n);
+  const auto finished = std::make_unique<std::atomic<bool>[]>(n);
   std::vector<std::thread> threads;
-  threads.reserve(sc.threads.size());
-  for (std::size_t t = 0; t < sc.threads.size(); ++t) {
+  threads.reserve(n);
+  std::string park_note;
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::size_t parked_before = parked_now();
     threads.emplace_back([&, t] {
       for (const ScenarioOp& op : sc.threads[t]) {
-        thread_ops[t].push_back(verify::recorded_op(deque, op.type, op.arg));
+        thread_ops[t].push_back(run_op(deque, op));
       }
+      finished[t].store(true, std::memory_order_release);
     });
+    if (rules.empty()) continue;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(park_timeout_ms);
+    while (!finished[t].load(std::memory_order_acquire) &&
+           parked_now() == parked_before) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        park_note = "thread " + std::to_string(t) +
+                    " neither parked nor finished";
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
   }
 
-  std::string park_note;
   for (std::size_t i = 0; i < rules.size(); ++i) {
     if (!controller.wait_parked(rules[i], park_timeout_ms)) {
       park_note += std::string(park_note.empty() ? "" : "; ") +
@@ -397,13 +386,7 @@ ReplayOutcome run_chaos_impl(const ReplayFile& file, std::size_t capacity,
     }
   }
   // Two-deleted probe while the poppers are held in the staged window.
-  std::uint64_t two_deleted = 0;
-  if constexpr (kIsListKind<D>) {
-    if (deque.left_deleted_bit_unsynchronized() &&
-        deque.right_deleted_bit_unsynchronized()) {
-      two_deleted = 1;
-    }
-  }
+  const std::uint64_t two_deleted = DequeTraits<D>::two_deleted(deque) ? 1 : 0;
   controller.release_all();
   for (std::thread& th : threads) th.join();
 
@@ -413,18 +396,13 @@ ReplayOutcome run_chaos_impl(const ReplayFile& file, std::size_t capacity,
 
   ViolationKind kind = ViolationKind::kNone;
   std::string detail;
-  verify::AuditResult audit;
-  if constexpr (kIsListKind<D>) {
-    audit = verify::RepAuditor::audit_list(deque.rep_view_unsynchronized());
-  } else {
-    audit = verify::RepAuditor::audit_array(deque.rep_view_unsynchronized());
-  }
+  const verify::AuditResult audit = DequeTraits<D>::audit(deque);
   if (!audit.ok) {
     kind = ViolationKind::kRepInvariant;
     detail = audit.detail;
   } else {
-    const verify::CheckResult cr =
-        verify::check_linearizable(history, checker_capacity);
+    const verify::CheckResult cr = verify::check_linearizable(
+        history, DequeTraits<D>::checker_capacity(sc.capacity));
     if (cr.verdict == verify::Verdict::kNotLinearizable) {
       kind = ViolationKind::kNotLinearizable;
       detail = cr.message;
@@ -450,21 +428,9 @@ ReplayOutcome run_chaos_impl(const ReplayFile& file, std::size_t capacity,
 
 ReplayOutcome run_replay_chaos(const ReplayFile& file,
                                std::uint64_t park_timeout_ms) {
-  switch (file.scenario.deque) {
-    case DequeKind::kArray:
-      return run_chaos_impl<ChaosArray>(file, file.scenario.capacity,
-                                        file.scenario.capacity,
-                                        park_timeout_ms);
-    case DequeKind::kList:
-      return run_chaos_impl<ChaosList>(file, file.scenario.capacity,
-                                       verify::SpecDeque::kUnbounded,
-                                       park_timeout_ms);
-    case DequeKind::kListElim:
-      return run_chaos_impl<ChaosListElim>(file, file.scenario.capacity,
-                                           verify::SpecDeque::kUnbounded,
-                                           park_timeout_ms);
-  }
-  return {};
+  return with_deque_type<ChaosPolicy>(file.scenario.deque, [&]<typename D>() {
+    return run_chaos_impl<D>(file, park_timeout_ms);
+  });
 }
 
 }  // namespace dcd::mc

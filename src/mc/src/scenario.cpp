@@ -9,15 +9,21 @@ using verify::OpType;
 const char* deque_kind_name(DequeKind k) noexcept {
   switch (k) {
     case DequeKind::kArray: return "array";
+    case DequeKind::kArrayNoRecheck: return "array-no-recheck";
+    case DequeKind::kArrayNoView: return "array-no-view";
+    case DequeKind::kArrayBare: return "array-bare";
     case DequeKind::kList: return "list";
     case DequeKind::kListElim: return "list-elim";
+    case DequeKind::kListDummy: return "list-dummy";
   }
   return "?";
 }
 
 bool deque_kind_from_name(const char* name, DequeKind& out) noexcept {
   for (const DequeKind k :
-       {DequeKind::kArray, DequeKind::kList, DequeKind::kListElim}) {
+       {DequeKind::kArray, DequeKind::kArrayNoRecheck, DequeKind::kArrayNoView,
+        DequeKind::kArrayBare, DequeKind::kList, DequeKind::kListElim,
+        DequeKind::kListDummy}) {
     if (std::strcmp(name, deque_kind_name(k)) == 0) {
       out = k;
       return true;
@@ -140,6 +146,76 @@ std::vector<Scenario> builtin_scenarios() {
     all.push_back(s);
   }
 
+  // Both ends push into the last free slot of a nearly full array, then
+  // pop back out: full-vs-push and last-item races at both ends.
+  {
+    Scenario s;
+    s.name = "array-n3-last-slot";
+    s.deque = DequeKind::kArray;
+    s.capacity = 3;
+    s.setup = {push_r(1), push_r(2)};
+    s.threads = {{push_r(8), pop_r()}, {push_l(9), pop_l()}};
+    all.push_back(s);
+  }
+
+  // Wrapped start: two pushLefts from the initial L == 0 put the segment
+  // across the end of the array (cells 3 and 0). Both threads push on the
+  // wrapped left end and pop the right one, so they contend at both.
+  {
+    Scenario s;
+    s.name = "array-n4-wrapped";
+    s.deque = DequeKind::kArray;
+    s.capacity = 4;
+    s.setup = {push_l(5), push_l(6)};
+    s.threads = {{pop_r(), push_l(9)}, {push_l(8), pop_r()}};
+    all.push_back(s);
+  }
+
+  // Capacity 1: empty and full are one cell apart, so every op sits on the
+  // ambiguous boundary. Started empty and started full.
+  {
+    Scenario s;
+    s.name = "array-n1-empty";
+    s.deque = DequeKind::kArray;
+    s.capacity = 1;
+    s.threads = {{push_r(5), pop_l()}, {push_l(6), pop_r()}};
+    all.push_back(s);
+    s.name = "array-n1-full";
+    s.setup = {push_r(3)};
+    s.threads = {{pop_r(), push_r(5)}, {pop_l(), push_l(6)}};
+    all.push_back(s);
+  }
+
+  // Same-end collisions on the right end: three poppers racing for two
+  // items (one must find the deque empty), then two pushers and a popper.
+  {
+    Scenario s;
+    s.name = "array-n4-same-end-pops";
+    s.deque = DequeKind::kArray;
+    s.capacity = 4;
+    s.setup = {push_r(1), push_r(2)};
+    s.threads = {{pop_r()}, {pop_r()}, {pop_r()}};
+    all.push_back(s);
+    s.name = "array-n4-same-end-pushes";
+    s.threads = {{push_r(8)}, {push_r(9)}, {pop_r()}};
+    all.push_back(s);
+  }
+
+  // Four threads, one op each (a pop and a push per end): on a capacity-2
+  // array holding one item, and on a capacity-3 array started empty and
+  // started full — empty, full and last-item races all reachable.
+  for (const std::size_t items : {std::size_t{1}, std::size_t{0},
+                                  std::size_t{3}}) {
+    Scenario s;
+    s.deque = DequeKind::kArray;
+    s.capacity = items == 1 ? 2 : 3;
+    s.name = "array-n" + std::to_string(s.capacity) + "-four-threads-" +
+             std::to_string(items) + "-items";
+    for (std::uint64_t i = 0; i < items; ++i) s.setup.push_back(push_r(5 + i));
+    s.threads = {{pop_r()}, {pop_l()}, {push_r(7)}, {push_l(8)}};
+    all.push_back(s);
+  }
+
   // List deque, 2 threads × 3 ops with concurrent pushes and pops (splice
   // vs push interference on the sentinel words).
   {
@@ -152,6 +228,55 @@ std::vector<Scenario> builtin_scenarios() {
   }
 
   all.push_back(figure16_scenario());
+
+  // Figure 16 with pushes contending: after each end's logical delete the
+  // next op is a push, which must run the physical delete first.
+  {
+    Scenario s = figure16_scenario();
+    s.name = "list-fig16-pushes";
+    s.threads = {{pop_l(), push_l(9)}, {pop_r(), push_r(8)}};
+    all.push_back(s);
+  }
+
+  // The same race on the dummy-node variant: a dummy stands in for each
+  // deleted bit.
+  {
+    Scenario s = figure16_scenario();
+    s.name = "list-dummy-fig16";
+    s.deque = DequeKind::kListDummy;
+    all.push_back(s);
+  }
+
+  // A push on the right while a right pop's deletion is pending: the push
+  // must splice the null node out (Figure 13 line 7) before its own DCAS.
+  {
+    Scenario s;
+    s.name = "list-push-past-pending-delete";
+    s.deque = DequeKind::kList;
+    s.setup = {push_r(1)};
+    s.threads = {{pop_r()}, {push_r(9)}};
+    all.push_back(s);
+  }
+
+  // Same-end pushes and pops starting from the empty deque.
+  {
+    Scenario s;
+    s.name = "list-same-end-from-empty";
+    s.deque = DequeKind::kList;
+    s.threads = {{push_r(5), pop_r()}, {push_r(6), pop_r()}};
+    all.push_back(s);
+  }
+
+  // Three threads around a single item: both ends pop it while a third
+  // pushes on the left.
+  {
+    Scenario s;
+    s.name = "list-singleton-three-threads";
+    s.deque = DequeKind::kList;
+    s.setup = {push_r(7)};
+    s.threads = {{pop_r()}, {pop_l()}, {push_l(9)}};
+    all.push_back(s);
+  }
 
   // Elimination layer (DESIGN.md §13): same-end traffic engineered so a
   // failed pop can meet a pending offer. Two right-pushers contend — in

@@ -69,8 +69,10 @@ bool collect_stalled(R& r) {
 }
 
 // Objects reclaimed purely by lock-free reference counting. The count word
-// must be the object's first member so a stale LFRC load that probes
-// recycled storage lands on a Word, never on arbitrary payload bytes.
+// must sit at a fixed offset of type-stable storage so a stale LFRC load
+// that probes recycled storage lands on a Word, never on arbitrary payload
+// bytes. That offset must not be 0 when TaggedNodePool owns the storage:
+// the pool keeps a free node's list link in its first word.
 template <typename T>
 concept LfrcManaged = requires(T t) {
   { t.rc } -> std::convertible_to<const dcas::Word&>;

@@ -19,9 +19,11 @@
 //     units on its own outgoing pointer slots, possibly recursively) and
 //     the object is freed.
 //
-// Objects embed the count as their first member (`dcas::Word rc;`) and
-// provide `lfrc_dispose()`, which drops units on outgoing slots and
-// releases the storage.
+// Objects embed the count as a `dcas::Word rc;` member and provide
+// `lfrc_dispose()`, which drops units on outgoing slots and releases the
+// storage. With TaggedNodePool storage, rc must not be the first word:
+// the pool keeps a free node's list link there, and a stale load's DCAS
+// on rc (an in-flight MCAS descriptor, say) must never land in that link.
 //
 // Type-stability requirement (as in the original paper): load() may read a
 // just-freed object's count word before its validating DCAS fails, so
@@ -47,7 +49,8 @@
 namespace dcd::reclaim {
 
 // T requirements:
-//   dcas::Word rc;        // first member; count, payload-encoded integer
+//   dcas::Word rc;        // count, payload-encoded integer; not at offset
+//                         // 0 when the storage comes from TaggedNodePool
 //   void lfrc_dispose();  // drop outgoing refs, then free own storage
 //   8-aligned allocation (pointers stored raw in slots).
 template <typename T, dcas::DcasPolicy P = dcas::DefaultDcas>
@@ -65,9 +68,15 @@ class Lfrc {
   }
 
   // Allocates the initial unit: a freshly created object starts with
-  // count 1, owned by the creating local reference.
+  // count 1, owned by the creating local reference. Recycled storage may
+  // still carry a stale load's in-flight DCAS on rc; a plain store would
+  // overwrite it and let that DCAS "succeed" without its increment, so
+  // the count is installed with a CAS from whatever the policy reads.
   static void init_count(T* p) noexcept {
-    P::store_init(p->rc, dcas::encode_payload(1));
+    for (;;) {
+      const std::uint64_t c = P::load(p->rc);
+      if (P::cas(p->rc, c, dcas::encode_payload(1))) return;
+    }
   }
 
   static std::int64_t count(T* p) noexcept {
@@ -154,6 +163,7 @@ template <typename T, dcas::DcasPolicy P = dcas::DefaultDcas>
 class LfrcStack {
  public:
   struct Node {
+    void* pool_link;  // the pool's free-list link while the node is free
     dcas::Word rc;
     dcas::Word next;  // LFRC-managed slot
     LfrcStack* owner;

@@ -25,7 +25,7 @@
 // policy applies: annotate only functions whose out-of-lifetime access is
 // part of a published algorithm's contract (type-stable pools probed by
 // stale readers), never to paper over an actual bug, and always with an
-// adjacent comment saying why — the atomics auditor enforces the comment.
+// adjacent comment saying why — tools/analyze enforces the comment.
 #if defined(__SANITIZE_ADDRESS__)
 #define DCD_NO_SANITIZE_ADDRESS __attribute__((no_sanitize("address")))
 #elif defined(__has_feature)

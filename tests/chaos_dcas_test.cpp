@@ -333,4 +333,11 @@ TEST(ChaosPark, SecondControllerInstallsAfterFirstDies) {
   EXPECT_EQ(ChaosController::active(), &second);
 }
 
+TEST(ChaosPark, EveryShapePointIsOnTheRoster) {
+  // Replay files park at shape names; each must pass arm_park's check.
+  for (std::size_t s = 0; s < kDcasShapeCount; ++s) {
+    EXPECT_TRUE(is_sync_point(shape_name(static_cast<DcasShape>(s)))) << s;
+  }
+}
+
 }  // namespace

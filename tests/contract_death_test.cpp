@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "dcd/dcas/chaos.hpp"
 #include "dcd/dcas/mcas.hpp"
 #include "dcd/deque/array_deque.hpp"
 #include "dcd/deque/value_codec.hpp"
@@ -40,6 +41,19 @@ TEST(ContractDeathTest, McasRejectsAliasedWords) {
   dcas::Word w(dcas::encode_payload(1));
   EXPECT_DEATH((void)dcas::McasDcas::dcas(w, w, 0, 0, 0, 0),
                "assertion failed");
+}
+
+TEST(ContractDeathTest, ArmParkRejectsUnknownSyncPoint) {
+  // A typo'd point would arm a rule that never fires; the roster check in
+  // arm_park turns it into an abort at the call site.
+  EXPECT_DEATH(
+      {
+        dcas::ChaosController chaos(dcas::ChaosSchedule{});
+        (void)chaos.arm_park("pop.logical_delte", 1);
+      },
+      "assertion failed");
+  EXPECT_TRUE(dcas::is_sync_point(dcas::sync_point::kLogicalDelete));
+  EXPECT_FALSE(dcas::is_sync_point("pop.logical_delte"));
 }
 
 }  // namespace

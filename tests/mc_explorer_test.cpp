@@ -1,11 +1,13 @@
-// Acceptance tests for the DPOR explorer (ISSUE: exhaustively verify the
-// array deque at N ∈ {2, 3} under 2 threads × 3 ops and the list deque
-// under 2 threads × 3 ops, including a scenario that provably visits the
-// Figure 16 two-null-splice state).
+// Acceptance tests for the DPOR explorer: the array deque at capacities
+// 1–4 under all four ArrayOptions, the list deque under 2–3 threads, a
+// scenario that provably visits the Figure 16 two-null-splice state, and
+// the same race on the dummy-node variant.
 //
 // Labelled `mc` in CMake: the CI model-checking job runs exactly these.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -13,9 +15,23 @@
 #include "dcd/mc/explorer.hpp"
 #include "dcd/mc/scenario.hpp"
 
+namespace dcd::mc {
+
+// Test-name suffix for the parameterized tests below (gtest finds it by
+// ADL); the default would dump the Scenario's bytes, pointers included.
+void PrintTo(const Scenario& sc, std::ostream* os) {
+  *os << sc.name << " on " << deque_kind_name(sc.deque);
+}
+
+}  // namespace dcd::mc
+
 namespace {
 
 using namespace dcd;
+using verify::OpType::kPopLeft;
+using verify::OpType::kPopRight;
+using verify::OpType::kPushLeft;
+using verify::OpType::kPushRight;
 
 mc::Scenario builtin(const std::string& name) {
   mc::Scenario sc;
@@ -120,6 +136,114 @@ TEST(McExplorer, ListElimSameEndExhaustiveClean) {
             0u);
 }
 
+TEST(McExplorer, ListFig16PushesExhaustiveClean) {
+  // Pushes after the logical deletes must run the physical deletes
+  // (Figure 15) before publishing, including the two-null double splice.
+  const mc::ExploreResult res = mc::explore(builtin("list-fig16-pushes"));
+  expect_clean_exhaustive(res);
+  EXPECT_GT(res.stats.two_deleted_states, 0u);
+}
+
+TEST(McExplorer, ListPushPastPendingDeleteExhaustiveClean) {
+  expect_clean_exhaustive(
+      mc::explore(builtin("list-push-past-pending-delete")));
+}
+
+TEST(McExplorer, ListSameEndFromEmptyExhaustiveClean) {
+  expect_clean_exhaustive(mc::explore(builtin("list-same-end-from-empty")));
+}
+
+TEST(McExplorer, ListSingletonThreeThreadsExhaustiveClean) {
+  expect_clean_exhaustive(
+      mc::explore(builtin("list-singleton-three-threads")));
+}
+
+TEST(McExplorer, ListDummyFigure16ExhaustiveClean) {
+  // Footnote 4's dummy-node variant on the Figure 16 program: every
+  // interleaving stays linearizable and satisfies the variant's RepInv,
+  // and some hold a dummy at both sentinels (its two-deleted state).
+  const mc::ExploreResult res = mc::explore(builtin("list-dummy-fig16"));
+  expect_clean_exhaustive(res);
+  EXPECT_GT(res.stats.two_deleted_states, 0u)
+      << "never held a dummy at both sentinels";
+}
+
+// --- every array scenario under all four ArrayOptions ----------------------
+
+// One test per (scenario, options) pair, so a failure names both.
+std::vector<mc::Scenario> array_scenarios_under_every_option() {
+  std::vector<mc::Scenario> out;
+  for (const mc::Scenario& base : mc::builtin_scenarios()) {
+    if (base.deque != mc::DequeKind::kArray) continue;
+    for (const mc::DequeKind kind : mc::kArrayKinds) {
+      mc::Scenario sc = base;
+      sc.deque = kind;
+      out.push_back(sc);
+    }
+  }
+  return out;
+}
+
+// k pushLefts then k popRights leave an empty capacity-3 array with both
+// indices shifted by -k; m pushRights then fill it. Over every k and m,
+// every segment position and length, wrapped or not, is a start state.
+std::vector<mc::Scenario> capacity_three_start_offsets() {
+  std::vector<mc::Scenario> out;
+  for (const mc::DequeKind kind : mc::kArrayKinds) {
+    for (int k = 0; k < 3; ++k) {
+      for (std::uint64_t m = 0; m <= 3; ++m) {
+        mc::Scenario sc;
+        sc.name = "array-n3-offset" + std::to_string(k) + "-fill" +
+                  std::to_string(m);
+        sc.deque = kind;
+        sc.capacity = 3;
+        for (int i = 0; i < k; ++i) sc.setup.push_back({kPushLeft, 1});
+        for (int i = 0; i < k; ++i) sc.setup.push_back({kPopRight, 0});
+        for (std::uint64_t i = 0; i < m; ++i) {
+          sc.setup.push_back({kPushRight, 10 + i});
+        }
+        sc.threads = {{{kPopLeft, 0}}, {{kPushRight, 9}}};
+        out.push_back(sc);
+      }
+    }
+  }
+  return out;
+}
+
+std::string param_name(const ::testing::TestParamInfo<mc::Scenario>& info) {
+  std::string n =
+      info.param.name + "__" + mc::deque_kind_name(info.param.deque);
+  for (char& c : n) {
+    if (c == '-') c = '_';
+  }
+  return n;
+}
+
+class McExplorerArrayOptions : public ::testing::TestWithParam<mc::Scenario> {
+};
+
+INSTANTIATE_TEST_SUITE_P(Builtin, McExplorerArrayOptions,
+                         ::testing::ValuesIn(
+                             array_scenarios_under_every_option()),
+                         param_name);
+
+INSTANTIATE_TEST_SUITE_P(StartOffsets, McExplorerArrayOptions,
+                         ::testing::ValuesIn(capacity_three_start_offsets()),
+                         param_name);
+
+TEST_P(McExplorerArrayOptions, ExhaustiveClean) {
+  SCOPED_TRACE(GetParam().describe());
+  expect_clean_exhaustive(mc::explore(GetParam()));
+}
+
+TEST(McExplorerArrayOptionsRoster, CoversEveryArrayScenarioAndOption) {
+  // Guards the instantiations above against a roster that silently
+  // shrinks: at least twelve builtin array scenarios, each under four
+  // options.
+  EXPECT_GE(array_scenarios_under_every_option().size(), 12u * 4u);
+  EXPECT_EQ(capacity_three_start_offsets().size(), 3u * 4u * 4u);
+}
+
 // --- DPOR soundness cross-validation ---------------------------------------
 
 // DPOR prunes interleavings, never outcomes: the set of distinct
@@ -153,6 +277,10 @@ TEST(McExplorerCrossValidation, ListSingleItemMatchesBruteForce) {
 
 TEST(McExplorerCrossValidation, ListElimMatchesBruteForce) {
   expect_same_outcomes("list-elim-same-end");
+}
+
+TEST(McExplorerCrossValidation, ListDummyMatchesBruteForce) {
+  expect_same_outcomes("list-dummy-fig16");
 }
 
 TEST(McExplorerCrossValidation, Figure16MatchesBruteForce) {

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
+
+#include "dcd/dcas/chaos.hpp"
 
 #include "dcd/mc/explorer.hpp"
 #include "dcd/mc/mutation.hpp"
@@ -25,7 +28,11 @@ mc::Scenario mutated(const std::string& name, mc::Mutation m) {
   return sc;
 }
 
-void expect_caught_and_replayable(const mc::Scenario& sc) {
+// `parks` stage the chaos replay's racy window, for mutations that only
+// bite inside one.
+void expect_caught_and_replayable(
+    const mc::Scenario& sc,
+    const std::vector<mc::ReplayFile::ChaosPark>& parks = {}) {
   const mc::ExploreResult res = mc::explore(sc);
   ASSERT_FALSE(res.ok) << "mutation survived exploration: " << res.message;
   ASSERT_NE(res.violation.kind, mc::ViolationKind::kNone);
@@ -51,6 +58,7 @@ void expect_caught_and_replayable(const mc::Scenario& sc) {
   // ChaosDcas reproduction on real preemptive threads. The verdict kind
   // may differ (chaos audits only the final state), but the bug must
   // still surface as a violation.
+  parsed.chaos_parks = parks;
   const mc::ReplayOutcome chaos = mc::run_replay_chaos(parsed);
   EXPECT_TRUE(chaos.ok) << chaos.message;
   EXPECT_NE(chaos.kind, mc::ViolationKind::kNone);
@@ -77,6 +85,47 @@ TEST(McMutation, PopKeepsValueCaughtOnArray) {
       mutated("array-n2-mixed", mc::Mutation::kPopKeepsValue));
 }
 
+TEST(McMutation, PopKeepsValueHarmlessOnEmptyArray) {
+  // Control: pops that only ever find the array empty never reach the
+  // mutated pop-commit DCAS, so the catch above is attributable to it.
+  mc::Scenario sc;
+  sc.name = "array-n4-pops-on-empty";
+  sc.deque = mc::DequeKind::kArray;
+  sc.capacity = 4;
+  sc.threads = {{{verify::OpType::kPopRight, 0}},
+                {{verify::OpType::kPopLeft, 0}}};
+  sc.mutation = mc::Mutation::kPopKeepsValue;
+  const mc::ExploreResult res = mc::explore(sc);
+  EXPECT_TRUE(res.ok && res.complete) << res.message;
+}
+
+TEST(McMutation, PushSkipsDeletedCheckCaughtOnList) {
+  // A push that skips Figure 13's line 7 while a right pop's deletion is
+  // pending splices its node in behind the logically-deleted null node,
+  // which is left mid-chain without a deleted bit to license it. On real
+  // threads the popper parks right after its logical delete, so the push
+  // runs inside the window.
+  expect_caught_and_replayable(
+      mutated("list-push-past-pending-delete",
+              mc::Mutation::kPushSkipsDeletedCheck),
+      {{dcas::sync_point::kLogicalDelete, 1}});
+}
+
+TEST(McMutation, PushMutationHarmlessWithoutPendingDeletion) {
+  // Control: with no pop in the program no deleted bit ever exists, so
+  // the mutated pushes behave exactly like the real ones — the catch above
+  // is attributable to the skipped check alone.
+  mc::Scenario sc;
+  sc.name = "list-pushes-only";
+  sc.deque = mc::DequeKind::kList;
+  sc.setup = {{verify::OpType::kPushRight, 5}};
+  sc.threads = {{{verify::OpType::kPushRight, 9}},
+                {{verify::OpType::kPushLeft, 8}}};
+  sc.mutation = mc::Mutation::kPushSkipsDeletedCheck;
+  const mc::ExploreResult res = mc::explore(sc);
+  EXPECT_TRUE(res.ok && res.complete) << res.message;
+}
+
 TEST(McMutation, UnmutatedScenariosStayClean) {
   // Control: the same scenarios with mutation none are clean, so the
   // catches above are attributable to the planted bugs alone.
@@ -85,12 +134,14 @@ TEST(McMutation, UnmutatedScenariosStayClean) {
   EXPECT_TRUE(mc::explore(sc).ok);
   ASSERT_TRUE(mc::find_builtin("array-n2-mixed", sc));
   EXPECT_TRUE(mc::explore(sc).ok);
+  ASSERT_TRUE(mc::find_builtin("list-push-past-pending-delete", sc));
+  EXPECT_TRUE(mc::explore(sc).ok);
 }
 
 TEST(McMutation, NamesRoundTrip) {
   for (const mc::Mutation m :
        {mc::Mutation::kNone, mc::Mutation::kDropDeletedBit,
-        mc::Mutation::kPopKeepsValue}) {
+        mc::Mutation::kPopKeepsValue, mc::Mutation::kPushSkipsDeletedCheck}) {
     mc::Mutation back{};
     ASSERT_TRUE(mc::mutation_from_name(mc::mutation_name(m), back));
     EXPECT_EQ(back, m);

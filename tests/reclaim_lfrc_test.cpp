@@ -50,6 +50,7 @@ struct Obj {
 // Pool-backed object for tests that race loads against frees.
 template <typename P>
 struct PoolObj {
+  void* pool_link;  // the pool's free-list link while the object is free
   dcd::dcas::Word rc;
   std::uint64_t tag;
 

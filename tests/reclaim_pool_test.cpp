@@ -100,6 +100,9 @@ TEST(NodePool, ConcurrentAllocFreeThroughEbrIsLossless) {
           domain.retire(p, NodePool::deallocate_cb, &pool);
         }
       }
+      // An exited thread's limbo waits for the next owner of its slot
+      // (ebr.hpp), so each worker drains its own before leaving.
+      while (domain.collect()) std::this_thread::yield();
     });
   }
   for (auto& t : ts) t.join();

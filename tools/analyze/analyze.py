@@ -5,10 +5,10 @@ Nine passes over src/ (see passes.py and tools/analyze/README.md):
 
   contract     every atomic access checked against the per-field
                memory-order contract table in contracts.toml (pairing,
-               guard loads, operator-form implicit accesses)
+               guard loads, implicit orders in call and operator form)
   sync         every CAS/DCAS call site in src/deque, src/reclaim, src/dcas
                maps to a classified sync point from chaos.hpp's roster
-               (the inverse of tools/lint's registry-side check)
+               (ChaosController::arm_park checks the other direction)
   progress     every CAS-failure retry loop reaches a backoff/elimination/
                helping edge on its failure path (the non-blocking claim as
                a CFG obligation)
@@ -19,7 +19,8 @@ Nine passes over src/ (see passes.py and tools/analyze/README.md):
   guard        every dereference of a pool-allocated node is dominated by
                a live protection scope (Guard object, LFRC acquisition, or
                a DCD_REQUIRES_GUARD caller contract propagated through the
-               call graph); escapes and unprotected calls are findings,
+               call graph); escapes, unprotected calls and raw new/delete
+               in the pool-owned directories are findings,
                DCD_GUARD_EXEMPT(why) records justified exceptions; the map
                is rendered into docs/GUARD_MAP.md
   shared-plain plain (non-atomic) accesses to the shared-reachable fields
@@ -34,7 +35,8 @@ Nine passes over src/ (see passes.py and tools/analyze/README.md):
                contracted atomic words must live in the [codec]-rostered
                helpers, which are cross-checked against the compile-time
                tag-disjointness audit and the property tests their roster
-               rows name
+               rows name; the reserved-bit constants appear only in the
+               layout file and that audit
   hb           every intended synchronizes-with edge is named in the
                [[hb.edge]] roster and proven two-sided by DCD_HB
                endpoint annotations (release/acquire, or the SC-fence
@@ -45,11 +47,11 @@ Nine passes over src/ (see passes.py and tools/analyze/README.md):
                and the map is rendered into docs/HB_MAP.md
 
 Plus the annotation roster check: any DCD_* token outside the known set
-([annotations] in contracts.toml) is an `unknown-annotation` finding.
+([annotations] in contracts.toml) is an `unknown-annotation` finding, and a
+DCD_NO_SANITIZE_* opt-out needs an adjacent comment.
 
-Exit codes: 0 clean, 1 findings, 2 configuration error — matching
-tools/lint/atomics_audit.py, whose suppression-file format this tool
-shares via tools/pylib/suppressions.py
+Exit codes: 0 clean, 1 findings, 2 configuration error. Suppressions use
+the format of tools/pylib/suppressions.py
 (`<path-suffix> : <rule> : <substring>  # justification`).
 
 Frontends: the token frontend (cpp_model.py) is dependency-free and
@@ -86,8 +88,8 @@ RULE_IDS = (
     # pass 1: contract
     "uncontracted-atomic-field", "unresolved-atomic-access",
     "ambiguous-field", "memory-order-contract", "relaxed-guard-load",
-    "implicit-operator-access", "unpaired-release-store",
-    "acquire-without-release",
+    "implicit-operator-access", "implicit-seq-cst",
+    "unpaired-release-store", "acquire-without-release",
     # pass 2: sync
     "unannotated-sync-site", "unknown-sync-point",
     "orphan-sync-annotation", "sync-roster-gap",
@@ -99,18 +101,20 @@ RULE_IDS = (
     "lp-unattached", "lp-missing", "lp-clause-roster-gap",
     # pass 5: guard
     "unguarded-node-deref", "guard-escape", "unprotected-guarded-call",
+    "raw-new-delete",
     # pass 6: shared-plain
     "shared-plain-access", "shared-plain-unknown-field",
     # pass 7: publication
     "unannotated-publication", "unpublished-field",
     "post-publication-plain-write", "publishes-mismatch",
     # pass 8: codec
-    "raw-word-arithmetic", "codec-drift",
+    "raw-word-arithmetic", "codec-drift", "tag-bits-outside-word",
     # pass 9: hb
     "unrostered-hb-edge", "one-sided-hb-edge", "fence-without-edge",
     "insufficient-order-for-edge",
     # cross-cutting
-    "unknown-annotation", "malformed-annotation", "frontend-divergence",
+    "unknown-annotation", "malformed-annotation", "unjustified-nosanitize",
+    "frontend-divergence",
 )
 
 
@@ -119,18 +123,16 @@ def config_error(msg: str) -> None:
     raise SystemExit(2)
 
 
-# --- suppressions (shared format/parser: tools/pylib/suppressions.py) ------
+# --- suppressions (format/parser: tools/pylib/suppressions.py) -------------
 #
-# This tool opts into wildcards: `*` is accepted for the path-suffix and
-# rule fields, and the substring is matched against both the snippet and
-# the finding message (tools/lint keeps its stricter exact-match rules).
+# The substring is matched against both the snippet and the finding
+# message.
 
 Suppression = sup.Suppression
 
 
 def parse_suppressions(text: str, origin: str) -> list[sup.Suppression]:
-    return sup.parse(text, origin, RULE_IDS, allow_wildcards=True,
-                     on_error=config_error)
+    return sup.parse(text, origin, RULE_IDS, on_error=config_error)
 
 
 def apply_suppressions(findings: list[passes.Finding],
@@ -410,7 +412,7 @@ SELF_TEST_CLAUSES = {"array.index_range", "array.segment_full"}
 
 SELF_TEST_CASES = [
     # (path, source, expected rule ids) — at least one seeded violation per
-    # pass, mirroring tools/lint/atomics_audit.py's convention.
+    # pass.
     ("src/other/contract_bad.hpp",
      "struct Foo {\n"
      "  std::atomic<int> guard_;\n"
@@ -776,8 +778,68 @@ HB_BAD_SRC = (
     "};\n")
 
 
+# The hygiene rules (pass 1 implicit-seq-cst, pass 5 raw-new-delete, pass 8
+# tag-bits-outside-word, annotation unjustified-nosanitize) on the shapes
+# that need care: multiline argument lists, comments and strings, `= delete`,
+# directories outside the pool-owned set, a justified opt-out, the layout
+# file itself. Only these four rules are compared.
+HYGIENE_RULES = {"implicit-seq-cst", "raw-new-delete",
+                 "tag-bits-outside-word", "unjustified-nosanitize"}
+HYGIENE_CONFIG = {
+    "contract": {"scan_dirs": ["src"], "field": [
+        {"member": "a", "loads": ["seq_cst"], "stores": ["seq_cst"],
+         "rmw": ["relaxed"], "cas_success": ["acq_rel"], "pairing": "none",
+         "why": "seeded: seq_cst allowed, implicitness still flagged"}]},
+    "guard": {"new_delete_dirs": ["src/deque", "src/reclaim"]},
+    "codec": {"scan_dirs": ["src"], "layout": "src/dcas/word.hpp",
+              "tag_tokens": ["kDeletedBit"]},
+}
+HYGIENE_CASES = [
+    ("src/deque/atomic.hpp",
+     "void f(std::atomic<int>& a) {\n  a.load();\n  a.store(1);\n"
+     "  a.fetch_add(2, std::memory_order_relaxed);\n}\n",
+     ["implicit-seq-cst", "implicit-seq-cst"]),
+    ("src/deque/multiline.hpp",
+     "bool g(std::atomic<long>& a, long& e) {\n"
+     "  return a.compare_exchange_strong(\n      e, 42,\n"
+     "      std::memory_order_acq_rel);\n}\n"
+     "long h(std::atomic<long>& a) {\n  return a.load(\n  );\n}\n",
+     ["implicit-seq-cst"]),
+    ("src/deque/masked.hpp",
+     "// a.load() in a comment is fine\n/* so is a.store(1) here */\n"
+     "const char* s = \"x.load() delete\";\n",
+     []),
+    ("src/reclaim/new.hpp",
+     "#include <new>\nstruct S { S(const S&) = delete; };\n"
+     "void f() {\n  auto* n = new S();\n  delete n;\n}\n",
+     ["raw-new-delete", "raw-new-delete"]),
+    ("src/util/new.hpp", "void f() { auto* p = new int; delete p; }\n", []),
+    ("src/util/nosan.hpp",
+     "DCD_NO_SANITIZE_THREAD\nvoid naked() {}\n\n"
+     "// LFRC re-init of recycled headers: stale readers discard the value\n"
+     "// via a failed validation DCAS, so the overlap is benign.\n"
+     "DCD_NO_SANITIZE_ADDRESS\nvoid justified() {}\n",
+     ["unjustified-nosanitize"]),
+    ("src/dcas/bits.hpp",
+     "bool weird(std::uint64_t w) {\n  return (w & kDeletedBit) != 0;\n}\n",
+     ["tag-bits-outside-word"]),
+    ("src/dcas/word.hpp",
+     "inline constexpr std::uint64_t kDeletedBit = 1ull << 1;\n", []),
+]
+
+
 def self_test() -> int:
     failures = []
+    for path, source, expected in HYGIENE_CASES:
+        model, _ = cm.build_file_model(path, source, [])
+        findings = (passes.run_contract_pass([model], HYGIENE_CONFIG)
+                    + passes.run_guard_pass([model], HYGIENE_CONFIG)
+                    + passes.run_codec_pass([model], HYGIENE_CONFIG)
+                    + passes.run_annotation_pass([model], HYGIENE_CONFIG))
+        got = sorted(f.rule for f in findings if f.rule in HYGIENE_RULES)
+        if got != sorted(expected):
+            failures.append(f"{path}: expected {sorted(expected)}, got {got}")
+
     for path, source, expected in SELF_TEST_CASES:
         tokens = SELF_TEST_CONFIG["progress"]["tokens"]
         model, malformed = cm.build_file_model(path, source, tokens)
@@ -1034,8 +1096,8 @@ def self_test() -> int:
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 2
-    print(f"self-test OK ({len(SELF_TEST_CASES)} seeded cases, "
-          "9 passes + annotation roster covered)")
+    print(f"self-test OK ({len(SELF_TEST_CASES) + len(HYGIENE_CASES)} "
+          "seeded cases, 9 passes + annotation roster covered)")
     return 0
 
 

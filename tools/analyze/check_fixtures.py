@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Fixture-tree corpus check for analyzer passes 2 + 5-9 + annotations.
+"""Fixture-tree corpus check for analyzer passes 1-2 + 5-9 + annotations.
 
-Runs the guard, shared-plain, publication, codec, hb, sync
-(notify-form, scoped to the executor exemplar), and unknown-annotation
-passes over the mini-sources in tools/analyze/fixtures/: the good/
+Runs the contract (scoped to the hygiene fixtures), guard, shared-plain,
+publication, codec, hb, sync (notify-form, scoped to the executor
+exemplar), and annotation passes over the mini-sources in
+tools/analyze/fixtures/: the good/
 tree must analyze clean, and each bad/ file must produce exactly its
 expected rule multiset. This pins the passes' behaviour on curated inputs that are
 independent of the real tree — an analyzer regression that stops
@@ -29,10 +30,20 @@ FIXTURES = HERE / "fixtures"
 # The analysis config the fixtures are written against (mirrors the
 # shape of contracts.toml's [guard]/[shared]/[annotations] sections).
 CONFIG = {
+    "contract": {
+        "scan_dirs": ["fixtures/bad/hygiene_violations.hpp",
+                      "fixtures/good/clean_hygiene.hpp"],
+        "field": [
+            {"member": "flag_", "loads": ["seq_cst"], "stores": [],
+             "rmw": [], "pairing": "none",
+             "why": "fixture: seq_cst allowed, implicitness still flagged"},
+        ],
+    },
     "guard": {
         "scan_dirs": ["fixtures"],
         "node_types": ["Node"],
         "lfrc_tokens": ["R::load("],
+        "new_delete_dirs": ["fixtures"],
     },
     "shared": {
         "scan_dirs": ["fixtures"],
@@ -66,6 +77,7 @@ CONFIG = {
         "store_tokens": ["store_init(", "Dcas::dcas("],
         "layout": "good/clean_codec.hpp",
         "payload_shift": 3,
+        "tag_tokens": ["kDeletedBit", "kPayloadShift"],
         "helper": [
             {"file": "good/clean_codec.hpp",
              "functions": ["encode_payload", "decode_payload",
@@ -93,7 +105,7 @@ CONFIG = {
     "annotations": {
         "known": ["DCD_SYNC", "DCD_LP", "DCD_PROGRESS", "DCD_PUBLISHES",
                   "DCD_REQUIRES_GUARD", "DCD_GUARD_EXEMPT",
-                  "DCD_HB", "DCD_HB_EXEMPT"],
+                  "DCD_HB", "DCD_HB_EXEMPT", "DCD_NO_SANITIZE_*"],
     },
 }
 
@@ -121,10 +133,14 @@ EXPECTED = {
         "post-publication-plain-write", "publishes-mismatch",
         "unannotated-publication", "unpublished-field"],
     "bad/codec_violations.hpp": [
-        "codec-drift", "raw-word-arithmetic", "raw-word-arithmetic"],
+        "codec-drift", "raw-word-arithmetic", "raw-word-arithmetic",
+        "tag-bits-outside-word", "tag-bits-outside-word"],
     "bad/hb_violations.hpp": [
         "fence-without-edge", "insufficient-order-for-edge",
         "one-sided-hb-edge", "unrostered-hb-edge"],
+    "bad/hygiene_violations.hpp": [
+        "implicit-seq-cst", "raw-new-delete", "tag-bits-outside-word",
+        "unjustified-nosanitize"],
 }
 
 
@@ -144,6 +160,7 @@ def main() -> int:
                                     model.path, line, msg)
                      for line, msg in malformed]
 
+    findings += passes.run_contract_pass(models, CONFIG)
     findings += passes.run_guard_pass(models, CONFIG)
     findings += passes.run_shared_plain_pass(models, CONFIG)
     findings += passes.run_publication_pass(models, CONFIG, ROSTER)

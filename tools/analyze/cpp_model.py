@@ -5,8 +5,8 @@ analysis passes (passes.py) consume:
 
   * atomic field declarations (owner class, member name, value type)
   * atomic accesses (member, operation, memory-order arguments)
-  * operator-form atomic accesses (``counter++`` — implicitly seq_cst and
-    invisible to the regex linter in tools/lint)
+  * operator-form atomic accesses (``counter++`` — implicitly seq_cst
+    without a call to flag)
   * CAS/DCAS call sites (policy calls ``Dcas::dcas/dcas_view/cas``,
     ``compare_exchange_*`` on std::atomic, magazine notify points)
   * retry loops (unbounded loops containing a CAS site) with the

@@ -1,11 +1,13 @@
-"""The eight analysis passes over the cpp_model fact base.
+"""The nine analysis passes over the cpp_model fact base.
 
-Pass 1  contract     memory-order contract audit per atomic field
+Pass 1  contract     memory-order contract audit per atomic field; every
+                     access names its order (implicit-seq-cst)
 Pass 2  sync         sync-point completeness at every CAS/DCAS call site
 Pass 3  progress     retry-loop progress obligations (failure-path edges)
 Pass 4  lp           linearization-point proof map (DCD_LP coverage)
 Pass 5  guard        reclamation-safety: every pool-node deref dominated by
-                     a live guard / LFRC ref / caller-declared scope
+                     a live guard / LFRC ref / caller-declared scope; no raw
+                     new/delete where the pools own node lifetimes
 Pass 6  shared-plain plain (non-atomic) access to shared-reachable fields
                      outside the happens-before licence contracts.toml claims
 Pass 7  publication  safe publication: pool nodes stay thread-private from
@@ -15,7 +17,8 @@ Pass 8  codec        word-encoding value flow: raw bit arithmetic on values
                      loaded from / stored to contracted atomic words must
                      live in the [codec]-rostered helpers, which are
                      themselves cross-checked against the compile-time
-                     tag-disjointness audit
+                     tag-disjointness audit; the reserved-bit constants
+                     appear only in the layout and audit files
 Pass 9  hb           happens-before edge prover: every [[hb.edge]] roster
                      row has DCD_HB-annotated release- and acquire-side
                      endpoints with sufficient orders (SC-fence shape for
@@ -26,7 +29,8 @@ Pass 9  hb           happens-before edge prover: every [[hb.edge]] roster
 
 Plus the annotation-roster check (`unknown-annotation`): a DCD_* token
 outside the known roster is a finding, so a typo in a load-bearing
-annotation cannot vanish silently.
+annotation cannot vanish silently; and a DCD_NO_SANITIZE_* opt-out needs
+an adjacent comment (`unjustified-nosanitize`).
 
 Each pass takes the parsed per-file models plus the contracts.toml config
 and returns Finding records. passes.py has no I/O besides reading the two
@@ -186,6 +190,13 @@ def run_contract_pass(models: list[cm.FileModel],
     seen_reads: dict[str, set[str]] = {}
     for model in scoped:
         for acc in model.accesses:
+            if acc.implicit:
+                findings.append(Finding(
+                    "contract", "implicit-seq-cst", acc.path, acc.line,
+                    f".{acc.op}() on '{acc.member}' names no "
+                    "std::memory_order (implicit seq_cst, which a contract "
+                    "row may allow); state the order you need and why",
+                    _snippet(model, acc.line)))
             cands = _resolve(contracts, acc.member, acc.path)
             if not cands:
                 findings.append(Finding(
@@ -521,9 +532,37 @@ def guard_roster(models: list[cm.FileModel],
     return roster
 
 
-def run_guard_pass(models: list[cm.FileModel], cfg: dict) -> list[Finding]:
+_NEW_DELETE_RE = re.compile(r"\b(new|delete)\b")
+
+
+def _raw_new_delete(models: list[cm.FileModel],
+                    dirs: list[str]) -> list[Finding]:
+    """`new`/`delete` expressions in the pool-owned directories: node
+    lifetimes there belong to the pools and EBR grace periods. `= delete`
+    declarations and preprocessor lines are not expressions."""
     findings: list[Finding] = []
+    for model in models:
+        if not _in_dirs(model.path, dirs):
+            continue
+        for m in _NEW_DELETE_RE.finditer(model.masked):
+            if (m.group(1) == "delete"
+                    and model.masked[:m.start()].rstrip().endswith("=")):
+                continue
+            line = cm.line_of(model.masked, m.start())
+            if cm.line_text_at(model.lines, line).lstrip().startswith("#"):
+                continue
+            findings.append(Finding(
+                "guard", "raw-new-delete", model.path, line,
+                f"`{m.group(1)}` in a pool-owned path; node lifetimes here "
+                "belong to the pools and EBR (grace periods, "
+                "type-stability)",
+                _snippet(model, line)))
+    return findings
+
+
+def run_guard_pass(models: list[cm.FileModel], cfg: dict) -> list[Finding]:
     gcfg = cfg.get("guard", {})
+    findings = _raw_new_delete(models, gcfg.get("new_delete_dirs", []))
     if not gcfg.get("node_types"):
         return findings
     scan_dirs = gcfg.get("scan_dirs", [])
@@ -987,6 +1026,23 @@ def run_codec_pass(models: list[cm.FileModel], cfg: dict,
                             f"{tested_by}; the cross-reference from roster "
                             "to property test is stale"))
 
+    # tag-bits-outside-word: the reserved-bit constants belong to the
+    # layout file; only the compile-time audit may also name them.
+    tags = ccfg.get("tag_tokens", [])
+    homes = [f for f in (ccfg.get("layout", ""), ccfg.get("audit", "")) if f]
+    tag_re = re.compile(r"\b(" + "|".join(map(re.escape, tags)) + r")\b")
+    for model in models if tags else []:
+        if any(model.path.endswith(h) for h in homes):
+            continue
+        for m in tag_re.finditer(model.masked):
+            line = cm.line_of(model.masked, m.start())
+            findings.append(Finding(
+                "codec", "tag-bits-outside-word", model.path, line,
+                f"reserved-bit constant {m.group(1)} used outside the "
+                "layout file; encode and decode through its helpers so "
+                "the bit layout has one owner",
+                _snippet(model, line)))
+
     # Layout pins: the [codec] section repeats the payload shift and the
     # audit file's key static_assert expressions; disagreement with the
     # tree means the static model and the compile-time audit diverged.
@@ -1039,16 +1095,39 @@ def run_codec_pass(models: list[cm.FileModel], cfg: dict,
 _DCD_TOKEN_RE = re.compile(r"\bDCD_[A-Z][A-Z0-9_]*\b")
 
 
+_NOSANITIZE_RE = re.compile(r"\bDCD_NO_SANITIZE_(?:THREAD|ADDRESS)\b")
+_PREPROCESSOR_RE = re.compile(r"^\s*#\s*(?:define|undef|if|ifdef|ifndef|elif)")
+NOSANITIZE_COMMENT_WINDOW = 5
+
+
 def run_annotation_pass(models: list[cm.FileModel],
                         cfg: dict) -> list[Finding]:
     """Any DCD_* token (code or comment) outside the known roster is a
-    finding — typos in load-bearing annotations must not vanish."""
+    finding — typos in load-bearing annotations must not vanish. A
+    sanitizer opt-out (DCD_NO_SANITIZE_*) outside its definition needs a
+    comment on its line or within NOSANITIZE_COMMENT_WINDOW lines above
+    saying which race it blesses."""
+    findings: list[Finding] = []
+    for model in models:
+        for lineno, text in enumerate(model.lines, start=1):
+            m = _NOSANITIZE_RE.search(text)
+            if m is None or _PREPROCESSOR_RE.match(text):
+                continue
+            window = model.lines[max(0, lineno - 1
+                                     - NOSANITIZE_COMMENT_WINDOW):lineno]
+            if any("//" in w or "/*" in w or "*/" in w for w in window):
+                continue
+            findings.append(Finding(
+                "annotation", "unjustified-nosanitize", model.path, lineno,
+                f"{m.group(0)} without a comment on its line or the "
+                f"{NOSANITIZE_COMMENT_WINDOW} above; say which benign race "
+                "it blesses and why it is benign",
+                _snippet(model, lineno)))
     known = cfg.get("annotations", {}).get("known", [])
     if not known:
-        return []
+        return findings
     exact = {k for k in known if not k.endswith("*")}
     prefixes = tuple(k[:-1] for k in known if k.endswith("*"))
-    findings: list[Finding] = []
     for model in models:
         for lineno, text in enumerate(model.lines, start=1):
             for m in _DCD_TOKEN_RE.finditer(text):

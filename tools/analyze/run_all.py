@@ -4,15 +4,14 @@
 Runs every python-side check CI's `analyze` job and the ctest
 `analyze-all` target need:
 
-  1. shared suppression-module self-test (tools/pylib/suppressions.py)
-  2. atomics-audit self-test + strict tree run (tools/lint)
-  3. analyzer self-test + strict tree run, passes 1-9 (tools/analyze)
-  4. proof-map drift gate (docs/PROOF_MAP.md vs DCD_LP annotations)
-  5. guard-map drift gate (docs/GUARD_MAP.md vs guard annotations)
-  6. publication-map drift gate (docs/PUBLICATION_MAP.md vs pass 7)
-  7. hb-map drift gate (docs/HB_MAP.md vs the [[hb.edge]] roster)
-  8. fixture corpus for passes 2 + 5-9 + annotation roster
-  9. (with --require-clang) the clang-frontend cross-check as a gate
+  1. suppression-module self-test (tools/pylib/suppressions.py)
+  2. analyzer self-test + strict tree run, passes 1-9 (tools/analyze)
+  3. proof-map drift gate (docs/PROOF_MAP.md vs DCD_LP annotations)
+  4. guard-map drift gate (docs/GUARD_MAP.md vs guard annotations)
+  5. publication-map drift gate (docs/PUBLICATION_MAP.md vs pass 7)
+  6. hb-map drift gate (docs/HB_MAP.md vs the [[hb.edge]] roster)
+  7. fixture corpus for passes 1-2 + 5-9 + annotation roster
+  8. (with --require-clang) the clang-frontend cross-check as a gate
 
 Every step is executed regardless of earlier failures and timed, so a
 single invocation reports the whole gate's state at a glance. The
@@ -54,11 +53,6 @@ def build_steps(args: argparse.Namespace,
     steps: list[tuple[str, list[str]]] = [
         ("suppressions self-test",
          [py, str(root / "tools/pylib/suppressions.py"), "--self-test"]),
-        ("atomics audit self-test",
-         [py, str(root / "tools/lint/atomics_audit.py"), "--self-test"]),
-        ("atomics audit strict",
-         [py, str(root / "tools/lint/atomics_audit.py"),
-          "--root", str(root), "--strict"]),
         ("analyzer self-test", analyze + ["--self-test"]),
         ("analyzer strict", strict),
         ("proof-map drift",

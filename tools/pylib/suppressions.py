@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Shared suppression-file handling for tools/lint and tools/analyze.
+"""Suppression-file handling for tools/analyze.
 
 One format, one parser:
 
@@ -9,12 +9,9 @@ Blank lines and lines starting with `#` are comments. Colons are split
 only when whitespace-flanked, so substrings may contain C++ scope
 operators (`dcas::kPayloadShift`). A suppression without a justification
 is a configuration error. `*` as the substring suppresses the rule for
-the whole matching file. Clients that opt into wildcards
-(`allow_wildcards=True`, tools/analyze) additionally accept `*` for the
-path-suffix and rule fields; tools/lint keeps the stricter exact-match
-semantics it always had.
+the whole matching file; `*` as the path-suffix or rule matches any.
 
-Each client owns its rule-id roster and finding type; `apply()` takes an
+The client owns its rule-id roster and finding type; `apply()` takes an
 accessor so it never needs to know the finding's shape:
 
     apply(findings, sups, lambda f: (f.path, f.rule, (f.line_text,)))
@@ -35,16 +32,13 @@ class Suppression:
     substring: str
     justification: str
     source_line: int
-    allow_wildcards: bool = False
     used: bool = False
 
     def matches(self, path: str, rule: str,
                 haystacks: Sequence[str]) -> bool:
-        if not path.endswith(self.path_suffix) and not (
-                self.allow_wildcards and self.path_suffix == "*"):
+        if self.path_suffix != "*" and not path.endswith(self.path_suffix):
             return False
-        if rule != self.rule and not (self.allow_wildcards
-                                      and self.rule == "*"):
+        if self.rule != "*" and rule != self.rule:
             return False
         return (self.substring == "*"
                 or any(self.substring in h for h in haystacks))
@@ -56,7 +50,6 @@ def _default_error(message: str):
 
 
 def parse(text: str, origin: str, rule_ids: Iterable[str], *,
-          allow_wildcards: bool = False,
           on_error: Callable[[str], None] = _default_error
           ) -> list[Suppression]:
     """Parse a suppression file; `on_error` is called (and must not
@@ -78,11 +71,11 @@ def parse(text: str, origin: str, rule_ids: Iterable[str], *,
             on_error(f"{origin}:{lineno}: expected `<path-suffix> : <rule> : "
                      f"<substring>  # <reason>`, got: {line}")
         path_suffix, rule, substring = parts
-        if rule not in known and not (allow_wildcards and rule == "*"):
+        if rule not in known and rule != "*":
             on_error(f"{origin}:{lineno}: unknown rule id '{rule}' "
                      f"(known: {', '.join(sorted(known))})")
         sups.append(Suppression(path_suffix, rule, substring, justification,
-                                lineno, allow_wildcards))
+                                lineno))
     return sups
 
 
@@ -145,24 +138,14 @@ def self_test() -> int:
     if [f.rule for f in left] != ["rule-b", "rule-a"]:
         failures.append("substring wildcard scope wrong")
 
-    # Without the opt-in, `*` as path-suffix is a literal suffix; no real
-    # path ends in `*`, so every finding must survive (lint semantics).
-    sups = parse("* : rule-a : needle  # why\n", "<selftest>", rules)
-    if apply(fs, sups, _fields) != fs:
-        failures.append("path wildcard matched without opt-in")
-
-    # ... and honoured with it (tools/analyze semantics).
-    sups = parse("* : * : needle  # why\n", "<selftest>", rules,
-                 allow_wildcards=True)
+    # `*` as path-suffix and rule matches any file and any rule.
+    sups = parse("* : * : needle  # why\n", "<selftest>", rules)
     left = apply(fs, sups, _fields)
     if [f.text for f in left] != ["no match"]:
         failures.append("wildcard path+rule did not apply")
 
-    # Unknown rule ids: rejected strictly, `*` needs the opt-in.
+    # Unknown rule ids are rejected.
     expect_error("a.hpp : bogus : x  # why", "unknown rule")
-    expect_error("a.hpp : * : x  # why", "wildcard rule w/o opt-in")
-    parse("a.hpp : * : x  # why\n", "<selftest>", rules,
-          allow_wildcards=True)
 
     # Format violations are config errors.
     expect_error("a.hpp : rule-a : x", "missing justification")
