@@ -1,5 +1,4 @@
-// Fork/join work-stealing executor over the DCAS deques (§1's motivating
-// application, ROADMAP item 1).
+// Fork/join work-stealing executor over the DCAS deques (§1's application).
 //
 // Topology: one deque per worker thread. The owner pushes and pops tasks
 // at its own end (LIFO depth-first — the hot child stays cache-warm);
@@ -72,8 +71,9 @@ struct ExecConfig {
   // Per-worker deque capacity (ListDeque max_nodes / ArrayDeque capacity /
   // AroraDeque capacity). On owner-push overflow the task runs inline.
   std::size_t deque_capacity = 1 << 16;
-  // Consecutive dry sweeps before a worker parks on the eventcount.
-  std::uint32_t park_after = 16;
+  // Idle time a worker sweeps (from its first dry sweep after a task) before
+  // it parks; it parks only once its scan backoff yields (DESIGN.md §14.1).
+  std::chrono::microseconds spin_before_park{1000};
   // Sample every Nth successful task acquisition into the per-worker
   // latency histogram (0 disables sampling).
   std::uint32_t latency_stride = 0;
@@ -261,10 +261,11 @@ class Executor {
     std::uint64_t lat_tick = 0;
     Task* free_head = nullptr;
     std::size_t free_count = 0;
-    // Telemetry: single-writer (the owner worker), relaxed; aggregated by
-    // Executor::stats(). scan_pauses/scan_yields mirror the
-    // AdaptiveBackoff exact counts after every dry sweep so readers never
-    // touch the plain backoff state.
+    // First dry sweep since the worker last ran a task (epoch while busy).
+    std::chrono::steady_clock::time_point idle_since{};
+    // Telemetry: single-writer (the owner worker, via bump()), aggregated
+    // by Executor::stats(). scan_pauses/scan_yields mirror the backoff's
+    // exact counts after every dry sweep (readers never touch its state).
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> failed_steals{0};
@@ -336,20 +337,18 @@ class Executor {
     // (EBR pins, MCAS descriptor pools) keys on it, and claiming it here
     // keeps slot churn out of the steady state.
     (void)util::ThreadRegistry::self();
-    std::uint32_t dry = 0;
     for (;;) {
       // DCD_HB(exec.stop.latch, role=acquire)
       if (stop_.load(std::memory_order_acquire)) break;
       if (Task* t = try_acquire(w)) {
-        dry = 0;
         run(w, t);
         continue;
       }
       record_dry_sweep(w);
-      if (++dry >= cfg_.park_after) {
-        park(w);
-        dry = 0;
-      }
+      // A worker still sweeping picks up an injected or forked task with
+      // no futex wake, so it parks only once an idle spell outlasts
+      // cfg_.spin_before_park.
+      if (idle_past_window(w)) park(w);
     }
     detail::tl_worker = nullptr;
     detail::tl_executor = nullptr;
@@ -375,9 +374,9 @@ class Executor {
         if (v == w.id) continue;
         if (std::optional<Task*> t = Traits::steal(*workers_[v].deque)) {
           got = *t;
-          w.steals.fetch_add(1, std::memory_order_relaxed);
+          bump(w.steals);
         } else {
-          w.failed_steals.fetch_add(1, std::memory_order_relaxed);
+          bump(w.failed_steals);
         }
       }
       if (got == nullptr) got = pop_inbox();
@@ -398,15 +397,16 @@ class Executor {
   // idle-path accounting test pins: scan_pauses == dry_sweeps always, and
   // scan_yields is the backoff's exact escalation count.
   void record_dry_sweep(Worker& w) {
-    w.dry_sweeps.fetch_add(1, std::memory_order_relaxed);
+    bump(w.dry_sweeps);
     w.scan_backoff.on_failure();
     w.scan_pauses.store(w.scan_backoff.pauses(), std::memory_order_relaxed);
     w.scan_yields.store(w.scan_backoff.yields(), std::memory_order_relaxed);
   }
 
   void run(Worker& w, Task* t) {
+    w.idle_since = {};  // a task ends the idle spell (idle_past_window)
     t->fn(w, *t);
-    w.executed.fetch_add(1, std::memory_order_relaxed);
+    bump(w.executed);
     complete(w, t);
   }
 
@@ -535,7 +535,7 @@ class Executor {
       parked_.fetch_sub(1, std::memory_order_relaxed);
       return;
     }
-    w.parks.fetch_add(1, std::memory_order_relaxed);
+    bump(w.parks);
     fire(dcas::sync_point::kExecPark);
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -545,6 +545,30 @@ class Executor {
       });
     }
     parked_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  // The park rule. The idle clock starts at the first dry sweep since the
+  // worker last ran a task (run() stops it); the worker parks once
+  // cfg_.spin_before_park has passed on it and its scan backoff yields.
+  // Time, not a sweep count: a saturated sweep is one sched_yield (~2 us),
+  // so any count that bounds idle CPU parks the worker long before the next
+  // request of a 3000/s stream, which then waits on a futex wake (§14.1).
+  bool idle_past_window(Worker& w) {
+    using Clock = std::chrono::steady_clock;
+    if (w.idle_since == Clock::time_point{}) {
+      w.idle_since = Clock::now();
+      return false;
+    }
+    return w.scan_backoff.yielding() &&
+           Clock::now() - w.idle_since >= cfg_.spin_before_park;
+  }
+
+  // Worker counters have one writer (the owner worker), so a relaxed
+  // load+store increment suffices; a fetch_add would put a locked RMW on
+  // every executed task and every dry sweep (cf. MagazinePool::bump).
+  static void bump(std::atomic<std::uint64_t>& counter) noexcept {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
   }
 
   ExecConfig cfg_;

@@ -129,6 +129,8 @@ class AdaptiveBackoff {
   }
 
   std::uint32_t spin_budget() const noexcept { return current_; }
+  // True once the spin budget is spent: the next on_failure() yields.
+  bool yielding() const noexcept { return current_ > spin_limit_; }
   std::uint64_t pauses() const noexcept { return pauses_; }
   // Exact count of failures that escalated to sched_yield (see
   // Backoff::yields() for why the spin budget cannot stand in for this).

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 
@@ -89,7 +90,7 @@ TEST(ExecChaosPark, SleeperParkedAtEventcountDoesNotBlockProgress) {
 
   ExecConfig cfg;
   cfg.workers = 3;
-  cfg.park_after = 4;
+  cfg.spin_before_park = std::chrono::microseconds{0};
   Executor<deque::ListDeque<Task*>> ex(cfg);
   ASSERT_TRUE(chaos.wait_parked(rule, 10000));
 
@@ -161,7 +162,7 @@ TYPED_TEST(ExecChaosPolicyTest, ForkJoinChecksumDeterministicUnderFaults) {
 
   ExecConfig cfg;
   cfg.workers = 4;
-  cfg.park_after = 4;
+  cfg.spin_before_park = std::chrono::microseconds{0};
   Executor<typename TestFixture::Deque> ex(cfg);
   for (int round = 0; round < 3; ++round) {
     run_tree(ex, 9);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -268,17 +269,29 @@ TEST(ExecutorBasics, WorkerJoinOnStackLatchSurvivesManyRounds) {
 }
 
 // --- idle-path backoff accounting (satellite: PR 6 yields() contract) -----
-//
+
+// Dry sweeps a fresh AdaptiveBackoff spins through before it yields: the
+// doubling budget stays within kDefaultSpinLimit for floor(log2(limit)) + 1
+// failures.
+std::uint32_t spin_steps_before_yield() {
+  std::uint32_t steps = 0;
+  for (std::uint64_t budget = 1;
+       budget <= util::AdaptiveBackoff::kDefaultSpinLimit; budget *= 2) {
+    ++steps;
+  }
+  return steps;
+}
+
 // Chaos-parks the single worker at exec.park: wait_parked() gives a
 // happens-before edge to the worker's last counter writes, so the asserts
 // below are exact, not racy samples. From a fresh AdaptiveBackoff the
-// whole first dry phase is deterministic: park_after dry sweeps, exactly
-// one on_failure() each, with the spin->yield escalation boundary at
-// floor(log2(spin_limit)) + 1 failures.
+// whole first dry phase is deterministic: with a zero window the worker
+// parks on the first dry sweep after which its backoff yields, which is
+// floor(log2(spin_limit)) + 1 sweeps, exactly one on_failure() each.
 TEST(ExecutorBackoffAccounting, DrySweepParkCycleKeepsExactCounters) {
   ExecConfig cfg;
   cfg.workers = 1;
-  cfg.park_after = 20;
+  cfg.spin_before_park = std::chrono::microseconds{0};
 
   dcas::ChaosController chaos(dcas::ChaosSchedule::from_seed(
       dcas::chaos_seed_from_env(2026)));
@@ -287,22 +300,19 @@ TEST(ExecutorBackoffAccounting, DrySweepParkCycleKeepsExactCounters) {
   Executor<deque::ListDeque<Task*>> ex(cfg);
   ASSERT_TRUE(chaos.wait_parked(rule, 10000));
 
+  const std::uint32_t spin_steps = spin_steps_before_yield();
   const exec::ExecStats parked = ex.stats();
   EXPECT_EQ(parked.executed, 0u);
   EXPECT_EQ(parked.parks, 1u);
-  EXPECT_EQ(parked.dry_sweeps, cfg.park_after);
+  // The worker parks only in the yield regime: not one sweep earlier,
+  // and (zero window) not one later.
+  EXPECT_EQ(parked.dry_sweeps, spin_steps);
   // Exactly one backoff failure per dry sweep — the scan-loop extension
   // of the exact-count contract.
   EXPECT_EQ(parked.scan_pauses, parked.dry_sweeps);
-  // Escalation boundary: spins while the doubling budget stays within
-  // kDefaultSpinLimit, yields after.
-  std::uint32_t spin_steps = 0;
-  for (std::uint64_t budget = 1;
-       budget <= util::AdaptiveBackoff::kDefaultSpinLimit; budget *= 2) {
-    ++spin_steps;
-  }
-  ASSERT_GT(cfg.park_after, spin_steps);
-  EXPECT_EQ(parked.scan_yields, parked.scan_pauses - spin_steps);
+  // It parks before its first yielding sweep; ExecutorIdle.
+  // ParksAfterSpinWindow pins the yield count of a longer idle spell.
+  EXPECT_EQ(parked.scan_yields, 0u);
 
   // Unpark and prove the worker comes back: one task must execute and the
   // pause/dry-sweep invariant must hold at quiescence.
@@ -319,6 +329,77 @@ TEST(ExecutorBackoffAccounting, DrySweepParkCycleKeepsExactCounters) {
   // The mirrors are written together with the dry-sweep bump; any
   // in-flight window is at most one sweep wide.
   EXPECT_LE(after.dry_sweeps - after.scan_pauses, 1u);
+}
+
+// --- idle path: park on a time budget -------------------------------------
+
+// With a short window every worker still parks once its idle spell
+// outlasts it, and none before the window has passed on its own idle
+// clock. The rules are all nth = 1: a worker trapped by one rule never
+// reaches the next rule's hit count, so each rule traps a different
+// worker.
+TEST(ExecutorIdle, ParksAfterSpinWindow) {
+  constexpr std::size_t kWorkers = 3;
+  ExecConfig cfg;
+  cfg.workers = kWorkers;
+  cfg.spin_before_park = std::chrono::milliseconds{20};
+
+  dcas::ChaosController chaos(dcas::ChaosSchedule::from_seed(
+      dcas::chaos_seed_from_env(2026)));
+  std::vector<std::size_t> rules;
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    rules.push_back(chaos.arm_park(dcas::sync_point::kExecPark, 1));
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  Executor<deque::ListDeque<Task*>> ex(cfg);
+  // EXPECT, not ASSERT: an early return would destroy the executor while
+  // trapped workers wait for release_all().
+  for (std::size_t r : rules) EXPECT_TRUE(chaos.wait_parked(r, 10000));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, cfg.spin_before_park);
+  // No task has run, so every sweep of every worker is one backoff
+  // failure: the first spin_steps of each spin, the rest yield, and the
+  // window is long enough that the yields mirror must be nonzero.
+  const exec::ExecStats s = ex.stats();
+  EXPECT_EQ(s.parks, kWorkers);
+  EXPECT_EQ(s.executed, 0u);
+  EXPECT_EQ(s.scan_pauses, s.dry_sweeps);
+  EXPECT_EQ(s.scan_yields,
+            s.scan_pauses - kWorkers * spin_steps_before_yield());
+  EXPECT_GT(s.scan_yields, 0u);
+
+  // Parked workers still wake for new work.
+  chaos.release_all();
+  std::uint64_t result = 0;
+  Latch latch(1);
+  ex.submit(ex.create(&fib_task, latch.task(), 0, 10,
+                      reinterpret_cast<std::uint64_t>(&result)));
+  ex.join(latch);
+  EXPECT_EQ(result, fib_expected(10));
+}
+
+// Within the window an idle worker keeps sweeping: requests trickling in
+// 1 ms apart are all picked up without a single park (and so without a
+// futex wake on the submit path).
+TEST(ExecutorIdle, NoParkWithinWindow) {
+  constexpr int kRequests = 100;
+  ExecConfig cfg;
+  cfg.workers = 2;
+  cfg.spin_before_park = std::chrono::seconds{10};
+  Executor<deque::ListDeque<Task*>> ex(cfg);
+  std::vector<std::uint64_t> results(kRequests, 0);
+  Latch latch(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    ex.submit(ex.create(&fib_task, latch.task(), 0, 6,
+                        reinterpret_cast<std::uint64_t>(&results[i])));
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  ex.join(latch);
+  for (std::uint64_t r : results) EXPECT_EQ(r, fib_expected(6));
+  ex.wait_all();
+  const exec::ExecStats s = ex.stats();
+  EXPECT_EQ(s.parks, 0u);
+  EXPECT_EQ(s.injected, static_cast<std::uint64_t>(kRequests));
 }
 
 }  // namespace

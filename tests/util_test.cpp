@@ -133,10 +133,12 @@ TEST(AdaptiveBackoff, YieldRegimeClampsBeforeDecaying) {
   // Drive far past the spin limit into the yield regime...
   for (int i = 0; i < 40; ++i) b.on_failure();
   EXPECT_GT(b.spin_budget(), AdaptiveBackoff::kDefaultSpinLimit);
+  EXPECT_TRUE(b.yielding());
   // ...one success must clamp back under the limit before halving, so the
   // next contended phase spins instead of yielding forever.
   b.on_success();
   EXPECT_LE(b.spin_budget(), AdaptiveBackoff::kDefaultSpinLimit / 2);
+  EXPECT_FALSE(b.yielding());
 }
 
 TEST(AdaptiveBackoff, YieldsCountOnlyEscalatedFailures) {
