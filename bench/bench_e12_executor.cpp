@@ -8,6 +8,10 @@
 // and the injection path are inside the measured region — exactly the
 // traffic a server's request loop generates.
 //
+// Every wait has a deadline (drained_by_deadline): a lost task fails its
+// row with SkipWithError instead of hanging the sweep, and the executor,
+// which can then never drain, is leaked rather than destroyed.
+//
 // Accounting is served-only: items processed = tasks actually executed
 // (read back from the executor's single-writer telemetry), never the
 // submitted count. The per-acquisition latency histogram is the executor's
@@ -27,11 +31,15 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "dcd/baseline/arora_deque.hpp"
@@ -119,6 +127,40 @@ using dcd::exec::Task;
 using dcd::exec::TaskContext;
 
 constexpr std::uint64_t kDepth = 11;  // 2^12 - 1 = 4095 tasks per tree
+constexpr std::uint64_t kTreeTasks = (1ull << (kDepth + 1)) - 1;
+
+// Waits until the executor has run `expected` tasks since it started, for
+// at most kDrainDeadline, then calls wait_all(), which returns at once on
+// a drained graph and collects its effects. Returns false on expiry: a
+// task was lost, and wait_all() would never return.
+constexpr std::chrono::seconds kDrainDeadline{10};
+
+template <typename Ex>
+bool drained_by_deadline(Ex& ex, std::uint64_t expected) {
+  const auto deadline = std::chrono::steady_clock::now() + kDrainDeadline;
+  while (ex.stats().executed < expected) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  ex.wait_all();
+  return true;
+}
+
+// Fails the row and leaks the executor, whose workers still hold the
+// graph that cannot drain.
+template <typename Ex>
+void fail_lost_task(benchmark::State& state, std::unique_ptr<Ex>& ex,
+                    const char* what, std::uint64_t round,
+                    std::uint64_t expected) {
+  const std::string msg =
+      std::string("lost a task: ") + std::to_string(ex->stats().executed) +
+      " of " + std::to_string(expected) + " tasks ran within " +
+      std::to_string(kDrainDeadline.count()) + " s (" + what + " " +
+      std::to_string(round) + ", " + std::to_string(state.range(0)) +
+      " workers)";
+  state.SkipWithError(msg.c_str());
+  (void)ex.release();
+}
 
 std::atomic<std::uint64_t> g_sum{0};
 
@@ -148,20 +190,24 @@ void BM_ExecutorTree(benchmark::State& state) {
   ExecConfig cfg;
   cfg.workers = static_cast<std::size_t>(state.range(0));
   cfg.latency_stride = 8;  // tasks are chunky; sample densely
-  Executor<Deque> ex(cfg);
+  auto ex = std::make_unique<Executor<Deque>>(cfg);
   g_sum.store(0, std::memory_order_relaxed);
   std::uint64_t trees = 0;
   for (auto _ : state) {
-    ex.submit(ex.create(&tree_task, nullptr, 0, kDepth, 1));
-    ex.wait_all();
+    ex->submit(ex->create(&tree_task, nullptr, 0, kDepth, 1));
+    if (!drained_by_deadline(*ex, (trees + 1) * kTreeTasks)) {
+      fail_lost_task(state, ex, "tree", trees, (trees + 1) * kTreeTasks);
+      break;
+    }
     ++trees;
   }
+  if (!ex) return;
   if (g_sum.load(std::memory_order_relaxed) !=
       trees * tree_expected(kDepth, 1)) {
     state.SkipWithError("schedule-independent checksum mismatch");
     return;
   }
-  const ExecStats st = ex.stats();
+  const ExecStats st = ex->stats();
   // Served-only: count what the workers actually executed.
   state.SetItemsProcessed(static_cast<std::int64_t>(st.executed));
   const auto avg = benchmark::Counter::kAvgIterations;
@@ -173,7 +219,7 @@ void BM_ExecutorTree(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(st.parks), avg);
   state.counters["injected"] =
       benchmark::Counter(static_cast<double>(st.injected), avg);
-  dcd::bench::report_latency(state, ex.latency());
+  dcd::bench::report_latency(state, ex->latency());
 }
 
 // Submission-heavy mix: each iteration replays a burst of independent
@@ -205,21 +251,25 @@ void BM_ExecutorSubmitBurst(benchmark::State& state) {
   ExecConfig cfg;
   cfg.workers = static_cast<std::size_t>(state.range(0));
   cfg.latency_stride = 8;
-  Executor<Deque> ex(cfg);
+  auto ex = std::make_unique<Executor<Deque>>(cfg);
   g_sum.store(0, std::memory_order_relaxed);
   std::uint64_t bursts = 0;
   for (auto _ : state) {
     for (std::uint64_t i = 0; i < kBurst; ++i) {
-      ex.submit(ex.create(&leaf_task, nullptr, 0, i, bursts));
+      ex->submit(ex->create(&leaf_task, nullptr, 0, i, bursts));
     }
-    ex.wait_all();
+    if (!drained_by_deadline(*ex, (bursts + 1) * kBurst)) {
+      fail_lost_task(state, ex, "burst", bursts, (bursts + 1) * kBurst);
+      break;
+    }
     ++bursts;
   }
+  if (!ex) return;
   if (g_sum.load(std::memory_order_relaxed) != burst_expected(bursts)) {
     state.SkipWithError("schedule-independent checksum mismatch");
     return;
   }
-  const ExecStats st = ex.stats();
+  const ExecStats st = ex->stats();
   state.SetItemsProcessed(static_cast<std::int64_t>(st.executed));
   const auto avg = benchmark::Counter::kAvgIterations;
   state.counters["steals"] =
@@ -230,7 +280,7 @@ void BM_ExecutorSubmitBurst(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(st.parks), avg);
   state.counters["injected"] =
       benchmark::Counter(static_cast<double>(st.injected), avg);
-  dcd::bench::report_latency(state, ex.latency());
+  dcd::bench::report_latency(state, ex->latency());
 }
 
 using ListGlobal = dcd::deque::ListDeque<Task*, GlobalLockDcas>;

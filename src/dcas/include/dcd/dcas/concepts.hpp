@@ -44,6 +44,29 @@ concept DcasPolicy = requires(Word& w, const Word& cw, std::uint64_t v,
   { P::dcas_view(w, w, vr, vr, v, v) } -> std::same_as<bool>;
 };
 
+// --- dropped-check seam (model-checker mutation) --------------------------
+//
+// The two-null splice's adjacency check (DESIGN.md §2) compares pointers
+// the deque has already loaded, so no corrupted policy call can remove
+// it. A policy may declare `static bool skips_two_null_adjacency()` to
+// drop it; wrappers are searched down their InnerPolicy chain.
+// mc::MutantDcasT declares it, so the model checker can show that a
+// scenario still fails without the check. No production policy declares
+// it: the function is then constant false and the check compiles
+// unchanged.
+template <typename P>
+bool skips_two_null_adjacency() noexcept {
+  if constexpr (requires {
+                  { P::skips_two_null_adjacency() } -> std::same_as<bool>;
+                }) {
+    return P::skips_two_null_adjacency();
+  } else if constexpr (requires { typename P::InnerPolicy; }) {
+    return skips_two_null_adjacency<typename P::InnerPolicy>();
+  } else {
+    return false;
+  }
+}
+
 // --- word-layout audit ----------------------------------------------------
 
 // The shared word is exactly one lock-free 64-bit atomic; every policy

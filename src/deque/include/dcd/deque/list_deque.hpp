@@ -469,8 +469,14 @@ class ListDeque {
         }
       } else {  // lines 16-26: two null items (Figure 16)
         const std::uint64_t old_r = Dcas::load(sl_.right);   // line 17
-        if (dcas::deleted_of(old_r)) {                       // line 18
-          Node* left_null = dcas::pointer_of<Node>(old_r);
+        Node* left_null = dcas::pointer_of<Node>(old_r);
+        // Line 18, plus the adjacency check the paper lacks (DESIGN.md §2):
+        // ll may be stale, read before `node`'s left neighbour was spliced
+        // out, while SL->R is already a newer deleted node further left.
+        // Swinging the sentinels together would then unlink every live node
+        // between the two nulls.
+        if (dcas::deleted_of(old_r) &&
+            (left_null == ll || dcas::skips_two_null_adjacency<Dcas>())) {
           // Lines 19-24: point the sentinels at each other, removing both
           // null nodes at once.
           // DCD_SYNC(delete.two_null_splice)
@@ -510,8 +516,9 @@ class ListDeque {
         }
       } else {  // two null items
         const std::uint64_t old_l = Dcas::load(sr_.left);
-        if (dcas::deleted_of(old_l)) {
-          Node* right_null = dcas::pointer_of<Node>(old_l);
+        Node* right_null = dcas::pointer_of<Node>(old_l);
+        if (dcas::deleted_of(old_l) &&
+            (right_null == rr || dcas::skips_two_null_adjacency<Dcas>())) {
           // DCD_SYNC(delete.two_null_splice)
           // DCD_LP(Fig34:19-24, delete.two_null_splice, aux, inv=list.two_deleted_minimum+list.sentinel_values+list.deleted_target_null, "both sentinels swing to each other, removing the final two null nodes at once")
           if (Dcas::dcas(sl_.right, sr_.left, old_r, old_l, ptr(&sr_, false),

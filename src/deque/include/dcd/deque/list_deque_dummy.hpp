@@ -426,6 +426,11 @@ class ListDequeDummy {
         if (is_dummy(left_dummy)) {
           Node* left_null =
               dcas::pointer_of<Node>(Dcas::load(left_dummy->left));
+          // The two nulls must be neighbours (ListDeque::delete_right).
+          if (left_null != ll && !dcas::skips_two_null_adjacency<Dcas>()) {
+            backoff.pause();
+            continue;
+          }
           // DCD_SYNC(dcas.any)
           // DCD_LP(Fig16:19-24, dcas.any, aux, inv=list.two_deleted_minimum+list.sentinel_values+list.deleted_target_null, "both sentinels swing to each other, removing the final null nodes and their dummies at once")
           if (Dcas::dcas(sr_.left, sl_.right, old_l, old_r, ptr(&sl_),
@@ -470,6 +475,10 @@ class ListDequeDummy {
         if (is_dummy(right_dummy)) {
           Node* right_null =
               dcas::pointer_of<Node>(Dcas::load(right_dummy->left));
+          if (right_null != rr && !dcas::skips_two_null_adjacency<Dcas>()) {
+            backoff.pause();
+            continue;
+          }
           // DCD_SYNC(dcas.any)
           // DCD_LP(Fig34:19-24, dcas.any, aux, inv=list.two_deleted_minimum+list.sentinel_values+list.deleted_target_null, "both sentinels swing to each other, removing the final null nodes and their dummies at once")
           if (Dcas::dcas(sl_.right, sr_.left, old_r, old_l, ptr(&sr_),

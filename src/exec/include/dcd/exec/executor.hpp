@@ -22,8 +22,13 @@
 //     linearization point (PROOF_MAP rows for the deques); a task's plain
 //     fn/args writes precede the push and are collected by the pop.
 //   * join             — Task::pending acq_rel decrements; the child that
-//     hits zero acquires every sibling's effects before scheduling the
-//     continuation (task.hpp).
+//     hits zero acquires every sibling's effects, then runs the
+//     continuation in place on its own worker (task.hpp, complete()).
+//   * drain            — per-worker single-writer spawned/completed counts;
+//     wait_all() reads every completed (acquire), then every spawned, and
+//     equal sums mean the graph drained (in_flight()). An external waiter
+//     is released by the next dry sweep through a second Dekker handshake
+//     (drain_waiters_), so retiring a task writes no executor-wide line.
 //   * idle parking     — a Dekker handshake: the parking worker advertises
 //     itself (parked_), seq_cst-fences, then re-sweeps; the producer
 //     pushes, seq_cst-fences, then checks parked_. One side must see the
@@ -169,11 +174,11 @@ class Executor {
   // when the deque supports it, else through the mutex inbox.
   void submit(Task* t) {
     DCD_ASSERT(t != nullptr && t->fn != nullptr);
-    outstanding_.fetch_add(1, std::memory_order_relaxed);
     if (Worker* w = self()) {
+      bump(w->spawned);
       push_own(*w, t);
     } else {
-      inject(t);
+      inject(t);  // counted in injected_
     }
     wake_one();
   }
@@ -199,14 +204,16 @@ class Executor {
   }
 
   // Block until every submitted task has completed. On a worker thread
-  // (inside a task body) the caller's own task is counted in outstanding_,
-  // so blocking on zero would wait on itself; help instead — execute and
-  // steal until this task is the only one left in flight. (Cyclic waits —
-  // two tasks each wait_all()ing on the other — are unresolvable misuse
-  // and spin here rather than deadlock silently on the condvar.)
+  // (inside a task body) the caller's own task is in flight, so blocking
+  // until none is would wait on itself; help instead — execute and steal
+  // until this task is the only one left in flight. (Cyclic waits — two
+  // tasks each wait_all()ing on the other — are unresolvable misuse and
+  // spin here rather than deadlock silently on the condvar.) An external
+  // waiter advertises itself in drain_waiters_ and sleeps; the first dry
+  // sweep after the last completion wakes it (record_dry_sweep).
   void wait_all() {
     if (Worker* w = self()) {
-      while (outstanding_.load(std::memory_order_acquire) > 1) {
+      while (in_flight() > 1) {
         if (Task* t = try_acquire(*w)) {
           run(*w, t);
         } else {
@@ -216,10 +223,11 @@ class Executor {
       return;
     }
     std::unique_lock<std::mutex> lock(done_mu_);
-    done_cv_.wait(lock, [&] {
-      // DCD_HB(exec.drain.outstanding, role=acquire)
-      return outstanding_.load(std::memory_order_acquire) == 0;
-    });
+    drain_waiters_.fetch_add(1, std::memory_order_relaxed);
+    // DCD_HB(exec.drain.dekker, role=fence-release)
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    done_cv_.wait(lock, [&] { return in_flight() == 0; });
+    drain_waiters_.fetch_sub(1, std::memory_order_relaxed);
   }
 
   ExecStats stats() const {
@@ -263,6 +271,12 @@ class Executor {
     std::size_t free_count = 0;
     // First dry sweep since the worker last ran a task (epoch while busy).
     std::chrono::steady_clock::time_point idle_since{};
+    // Drain counts, single-writer like the telemetry below: tasks this
+    // worker made runnable (fork, on-worker submit) and in-flight units it
+    // retired. A ready continuation takes over its child's unit, so it
+    // moves neither (complete()).
+    std::atomic<std::uint64_t> spawned{0};
+    std::atomic<std::uint64_t> completed{0};
     // Telemetry: single-writer (the owner worker, via bump()), aggregated
     // by Executor::stats(). scan_pauses/scan_yields mirror the backoff's
     // exact counts after every dry sweep (readers never touch its state).
@@ -291,7 +305,7 @@ class Executor {
 
     void fork(Task* t) override {
       DCD_ASSERT(t != nullptr && t->fn != nullptr);
-      owner->outstanding_.fetch_add(1, std::memory_order_relaxed);
+      bump(spawned);
       owner->push_own(*this, t);
       owner->wake_one();
     }
@@ -395,26 +409,43 @@ class Executor {
 
   // Exactly one AdaptiveBackoff failure per dry sweep — the invariant the
   // idle-path accounting test pins: scan_pauses == dry_sweeps always, and
-  // scan_yields is the backoff's exact escalation count.
+  // scan_yields is the backoff's exact escalation count. A dry sweep is
+  // also where an external wait_all() is woken: the fence orders this
+  // worker's completed stores before the drain_waiters_ read, and the
+  // waiter fences between advertising and its in_flight() check, so either
+  // the waiter sees the drained graph or this sweep sees the waiter.
   void record_dry_sweep(Worker& w) {
     bump(w.dry_sweeps);
     w.scan_backoff.on_failure();
     w.scan_pauses.store(w.scan_backoff.pauses(), std::memory_order_relaxed);
     w.scan_yields.store(w.scan_backoff.yields(), std::memory_order_relaxed);
+    // DCD_HB(exec.drain.dekker, role=fence-acquire)
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (drain_waiters_.load(std::memory_order_relaxed) != 0) {
+      std::lock_guard<std::mutex> lock(done_mu_);
+      done_cv_.notify_all();
+    }
   }
 
+  // Runs `t`, then every continuation its completion makes ready, on this
+  // worker: a loop, not recursion, so a chain of continuations never grows
+  // the stack.
   void run(Worker& w, Task* t) {
     w.idle_since = {};  // a task ends the idle spell (idle_past_window)
-    t->fn(w, *t);
-    bump(w.executed);
-    complete(w, t);
+    do {
+      t->fn(w, *t);
+      bump(w.executed);
+      t = complete(w, t);
+    } while (t != nullptr);
   }
 
-  // Retire a finished task: recycle it, resolve its continuation, then
-  // settle the global outstanding count (in that order — a scheduled
-  // continuation is counted before this task's own decrement, so
-  // outstanding_ can only hit zero when the graph is truly drained).
-  void complete(Worker& w, Task* t) {
+  // Retire a finished task: recycle it and resolve its continuation. A
+  // continuation this completion makes ready is returned for run() to
+  // execute in place — it takes over this task's in-flight unit, so no
+  // drain count moves (the push, pop and splice a deque round trip would
+  // cost are skipped too). Otherwise the unit is retired with a release
+  // store of completed, which in_flight()'s acquire loads pair with.
+  Task* complete(Worker& w, Task* t) {
     Task* c = t->continuation;
     recycle(w, t);
     if (c != nullptr) {
@@ -426,23 +457,37 @@ class Executor {
       // DCD_HB(exec.join.pending, role=release)
       // DCD_HB(exec.join.pending, role=acquire)
       if (c->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (cfn != nullptr) {
-          outstanding_.fetch_add(1, std::memory_order_relaxed);
-          push_own(w, c);
-          wake_one();
-        } else {
-          // Latch: wake external joiners (done_mu_/done_cv_ are executor
-          // members — still no touch of the possibly-freed Latch).
-          std::lock_guard<std::mutex> lock(done_mu_);
-          done_cv_.notify_all();
-        }
+        if (cfn != nullptr) return c;
+        // Latch: wake external joiners (done_mu_/done_cv_ are executor
+        // members — still no touch of the possibly-freed Latch).
+        std::lock_guard<std::mutex> lock(done_mu_);
+        done_cv_.notify_all();
       }
     }
-    // DCD_HB(exec.drain.outstanding, role=release)
-    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      done_cv_.notify_all();
+    // Single writer, like bump(), but releasing: this worker's task effects.
+    // DCD_HB(exec.drain.count, role=release)
+    w.completed.store(w.completed.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_release);
+    return nullptr;
+  }
+
+  // In-flight units by a double collect: every completed count first, then
+  // every spawn count (the workers' and injected_). A unit's spawn happens
+  // before its completion (the deque or inbox transfer orders them), so a
+  // completion the first pass reads has its spawn counted by the second:
+  // the difference never wraps, and 0 means every unit ever spawned before
+  // the first pass had completed — the graph drained (DESIGN.md §14.1).
+  std::uint64_t in_flight() const {
+    std::uint64_t done = 0;
+    for (const Worker& w : workers_) {
+      // DCD_HB(exec.drain.count, role=acquire)
+      done += w.completed.load(std::memory_order_acquire);
     }
+    std::uint64_t spawned = injected_.load(std::memory_order_relaxed);
+    for (const Worker& w : workers_) {
+      spawned += w.spawned.load(std::memory_order_relaxed);
+    }
+    return spawned - done;
   }
 
   void recycle(Worker& w, Task* t) {
@@ -575,15 +620,14 @@ class Executor {
   std::vector<Worker> workers_;
   std::vector<std::thread> threads_;
 
-  // Task-graph drain count: +1 per submitted/forked/scheduled task, -1 on
-  // completion; the acq_rel decrement to zero publishes the whole graph's
-  // effects to wait_all()'s acquire load.
-  std::atomic<std::uint64_t> outstanding_{0};
   // Eventcount (see wake_one/park).
   std::atomic<std::uint64_t> parked_{0};
   std::atomic<std::uint64_t> wake_epoch_{0};
   std::atomic<bool> stop_{false};
-  // External-submission telemetry + round-robin injection cursor.
+  // External wait_all() callers asleep on done_cv_ (see record_dry_sweep).
+  std::atomic<std::uint64_t> drain_waiters_{0};
+  // External submissions — the spawn count in_flight() adds to the
+  // workers' — and the round-robin injection cursor.
   std::atomic<std::uint64_t> injected_{0};
   std::atomic<std::uint64_t> inject_cursor_{0};
 

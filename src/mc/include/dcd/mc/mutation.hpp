@@ -40,6 +40,11 @@ enum class Mutation : std::uint8_t {
   // expects the bit back, so the push splices its node in *behind* the
   // logically-deleted null node, stranding that null mid-chain.
   kPushSkipsDeletedCheck,
+  // List deques: the two-null splice skips the check that its two null
+  // nodes are neighbours (dcas::skips_two_null_adjacency), which the
+  // paper's Figures 17/34 lack. A stale neighbour read then lets the
+  // splice unlink the live nodes between two non-adjacent nulls.
+  kTwoNullSkipsAdjacency,
 };
 
 const char* mutation_name(Mutation m) noexcept;
@@ -99,6 +104,10 @@ class MutantDcasT {
   static bool cas(dcas::Word& w, std::uint64_t oldv,
                   std::uint64_t newv) noexcept {
     return Inner::cas(w, oldv, newv);
+  }
+
+  static bool skips_two_null_adjacency() noexcept {
+    return active_mutation() == Mutation::kTwoNullSkipsAdjacency;
   }
 
   static bool dcas(dcas::Word& a, dcas::Word& b, std::uint64_t oa,

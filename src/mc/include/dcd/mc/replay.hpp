@@ -23,7 +23,7 @@
 //          | list-elim | list-dummy
 //   capacity: 64
 //   mutation: none | drop-deleted-bit | pop-keeps-value
-//             | push-skips-deleted-check
+//             | push-skips-deleted-check | two-null-skips-adjacency
 //   setup: pushRight(1) pushRight(2)
 //   thread: popLeft popLeft          # one line per model thread
 //   thread: popRight popRight

@@ -15,6 +15,7 @@ const char* mutation_name(Mutation m) noexcept {
     case Mutation::kDropDeletedBit: return "drop-deleted-bit";
     case Mutation::kPopKeepsValue: return "pop-keeps-value";
     case Mutation::kPushSkipsDeletedCheck: return "push-skips-deleted-check";
+    case Mutation::kTwoNullSkipsAdjacency: return "two-null-skips-adjacency";
   }
   return "?";
 }
@@ -22,7 +23,8 @@ const char* mutation_name(Mutation m) noexcept {
 bool mutation_from_name(const char* name, Mutation& out) noexcept {
   for (const Mutation m : {Mutation::kNone, Mutation::kDropDeletedBit,
                            Mutation::kPopKeepsValue,
-                           Mutation::kPushSkipsDeletedCheck}) {
+                           Mutation::kPushSkipsDeletedCheck,
+                           Mutation::kTwoNullSkipsAdjacency}) {
     if (std::strcmp(name, mutation_name(m)) == 0) {
       out = m;
       return true;

@@ -312,6 +312,22 @@ std::vector<Scenario> builtin_scenarios() {
     all.push_back(s);
   }
 
+  // The lost-task schedule (DESIGN.md §2 erratum, EXPERIMENTS.md §E15):
+  // the owner's pop leaves a right deletion pending, its next push helps
+  // splice it while the thief pops the left node, and the thief's next pop
+  // reads a stale right neighbour that is null. Two more owner pushes and a
+  // pop then leave a newer deleted node at SR, and the thief's two-null
+  // splice would unlink the live node between them. Fails without the
+  // adjacency check (mutation two-null-skips-adjacency), for both kinds.
+  for (const DequeKind k : {DequeKind::kList, DequeKind::kListDummy}) {
+    Scenario s;
+    s.name = std::string(deque_kind_name(k)) + "-exec-stale-two-null";
+    s.deque = k;
+    s.setup = {push_r(1), push_r(2), pop_r()};
+    s.threads = {{push_r(3), push_r(4), pop_r(), pop_r()}, {pop_l(), pop_l()}};
+    all.push_back(s);
+  }
+
   // Suspended-popper shape: both threads pop the single element; one pop's
   // logical delete can sit unresolved (parked popper, §5.2) while the
   // other end must still prove emptiness or perform the physical delete.

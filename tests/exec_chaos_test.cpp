@@ -132,6 +132,46 @@ TEST(ExecChaosPark, SubmitterParkedMidInjectDoesNotBlockWorkers) {
             tree_expected(3, 1) + tree_expected(3, 100));
 }
 
+// An external waiter is woken by the dry sweep that follows the last
+// task, so a worker trapped at the top of its sweep (exec.steal) mid-graph
+// never wakes it. The remaining workers must finish the graph and release
+// the waiter, with the exact checksum, while the trapped worker is held.
+// The trapped worker's own deque was empty when it fired (exec.steal
+// fires only after pop_own failed), so no task is stranded with it. No
+// worker parks on the eventcount (10 s window): a submit wakes one
+// sleeper, and trapping that one would strand the root with the rest
+// asleep, which is the eventcount's single wake, not the drain's.
+TEST(ExecChaosPark, WaiterReleasedWhileWorkerParkedAtSteal) {
+  ChaosController chaos(quiet_schedule(dcas::chaos_seed_from_env(2026)));
+  ExecConfig cfg;
+  cfg.workers = 3;
+  cfg.spin_before_park = std::chrono::seconds{10};
+  Executor<deque::ListDeque<Task*>> ex(cfg);
+  g_sum.store(0, std::memory_order_relaxed);
+
+  ex.submit(ex.create(&tree_task, nullptr, 0, 14, 1));
+  std::atomic<bool> waited{false};
+  std::thread waiter([&] {
+    ex.wait_all();
+    waited.store(true, std::memory_order_release);
+  });
+  const std::size_t rule = chaos.arm_park(dcas::sync_point::kExecSteal, 1);
+  EXPECT_TRUE(chaos.wait_parked(rule, 10000));
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!waited.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(waited.load(std::memory_order_acquire))
+      << "wait_all() needed the trapped worker";
+  EXPECT_TRUE(chaos.parked(rule));
+  chaos.release_all();
+  waiter.join();
+  EXPECT_EQ(g_sum.load(std::memory_order_relaxed), tree_expected(14, 1));
+}
+
 // --- determinism across DCAS policies under chaos seeds -------------------
 //
 // Acceptance criterion: the fork-join result is validated deterministic

@@ -5,6 +5,7 @@
 // consistent (the PR 6 yields() contract, extended to the scan loop).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -114,16 +115,25 @@ TYPED_TEST(ExecutorDequeTest, FibForkJoinExternalSubmit) {
   EXPECT_EQ(s.injected, 1u);  // one external submission (the root)
 }
 
+// Repeated external wait_all() rounds over fire-and-forget fork trees:
+// each round's checksum is exact the moment wait_all() returns, so the
+// per-worker double collect never reports a drained graph early.
 TYPED_TEST(ExecutorDequeTest, WaitAllDrainsFireAndForgetTree) {
-  g_checksum.store(0, std::memory_order_relaxed);
   ExecConfig cfg;
   cfg.workers = 3;
-  {
-    Executor<TypeParam> ex(cfg);
-    ex.submit(ex.create(&tree_task, nullptr, 0, 6, 1));
+  Executor<TypeParam> ex(cfg);
+  std::uint64_t want = 0;
+  g_checksum.store(0, std::memory_order_relaxed);
+  for (std::uint64_t round = 0; round < 20; ++round) {
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      ex.submit(ex.create(&tree_task, nullptr, 0, 5, round * 3 + k));
+      want += tree_expected(5, round * 3 + k);
+    }
     ex.wait_all();
+    ASSERT_EQ(g_checksum.load(std::memory_order_relaxed), want)
+        << "round " << round;
   }
-  EXPECT_EQ(g_checksum.load(std::memory_order_relaxed), tree_expected(6, 1));
+  EXPECT_EQ(ex.stats().executed, 20u * 3u * 63u);
 }
 
 TYPED_TEST(ExecutorDequeTest, ManyExternalSubmitters) {
@@ -218,26 +228,30 @@ void forks_then_waits_all(TaskContext& ctx, Task& t) {
   for (std::uint64_t i = 0; i < 8; ++i) {
     ctx.fork(ctx.create(&tree_task, nullptr, 0, 3, i));
   }
-  // wait_all() on a worker must help-drain: the caller's own task is
-  // counted in outstanding_, so blocking on the condvar here can never be
-  // satisfied (and with one worker nobody else runs the children).
+  // wait_all() on a worker must help-drain: the caller's own task is in
+  // flight, so blocking on the condvar here can never be satisfied (and
+  // with one worker nobody else runs the children).
   ex->wait_all();
   *snapshot = g_checksum.load(std::memory_order_relaxed);
 }
 
+// One worker, where only the waiter itself can run the children, and four,
+// where the others steal them and wait_all() must still see every one.
 TEST(ExecutorBasics, WaitAllFromWorkerTaskHelpsInsteadOfDeadlocking) {
-  g_checksum.store(0, std::memory_order_relaxed);
-  ListExec ex(ExecConfig{.workers = 1});
-  std::uint64_t snapshot = 0;
-  Latch latch(1);
-  ex.submit(ex.create(&forks_then_waits_all, latch.task(), 0,
-                      reinterpret_cast<std::uint64_t>(&ex),
-                      reinterpret_cast<std::uint64_t>(&snapshot)));
-  ex.join(latch);
-  std::uint64_t want = 0;
-  for (std::uint64_t i = 0; i < 8; ++i) want += tree_expected(3, i);
-  // Every forked child completed before wait_all() returned.
-  EXPECT_EQ(snapshot, want);
+  for (const std::size_t workers : {1u, 4u}) {
+    g_checksum.store(0, std::memory_order_relaxed);
+    ListExec ex(ExecConfig{.workers = workers});
+    std::uint64_t snapshot = 0;
+    Latch latch(1);
+    ex.submit(ex.create(&forks_then_waits_all, latch.task(), 0,
+                        reinterpret_cast<std::uint64_t>(&ex),
+                        reinterpret_cast<std::uint64_t>(&snapshot)));
+    ex.join(latch);
+    std::uint64_t want = 0;
+    for (std::uint64_t i = 0; i < 8; ++i) want += tree_expected(3, i);
+    // Every forked child completed before wait_all() returned.
+    EXPECT_EQ(snapshot, want) << workers << " workers";
+  }
 }
 
 void inner_join_rounds(TaskContext& ctx, Task& t) {
@@ -266,6 +280,91 @@ TEST(ExecutorBasics, WorkerJoinOnStackLatchSurvivesManyRounds) {
   std::uint64_t want = 0;
   for (std::uint64_t i = 0; i < 4; ++i) want += tree_expected(1, i);
   EXPECT_EQ(g_checksum.load(std::memory_order_relaxed), 128 * want);
+}
+
+// --- drain detection and in-place continuations ----------------------------
+
+// Leaves of a fire-and-forget tree stamp the time their body ends.
+std::atomic<std::int64_t> g_last_body_ns{0};
+
+std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void stamped_tree_task(TaskContext& ctx, Task& t) {
+  const std::uint64_t depth = t.args[0];
+  if (depth > 0) {
+    for (std::uint64_t k = 0; k < 2; ++k) {
+      ctx.fork(ctx.create(&stamped_tree_task, nullptr, 0, depth - 1));
+    }
+  }
+  std::int64_t seen = g_last_body_ns.load(std::memory_order_relaxed);
+  const std::int64_t t_end = now_ns();
+  while (seen < t_end && !g_last_body_ns.compare_exchange_weak(
+                             seen, t_end, std::memory_order_relaxed)) {
+  }
+}
+
+// Workers that never park (10 s window) never pass through the eventcount,
+// and completion itself notifies nobody: the external waiter is released
+// by the dry sweep that follows the last task, within microseconds.
+TEST(ExecutorDrain, ExternalWaitAllReleasedByDrySweep) {
+  ExecConfig cfg;
+  cfg.workers = 2;
+  cfg.spin_before_park = std::chrono::seconds{10};
+  ListExec ex(cfg);
+  for (int round = 0; round < 5; ++round) {
+    ex.submit(ex.create(&stamped_tree_task, nullptr, 0, 10));
+    ex.wait_all();
+    const std::int64_t late =
+        now_ns() - g_last_body_ns.load(std::memory_order_relaxed);
+    EXPECT_LT(late, 100'000'000) << "round " << round;
+  }
+  EXPECT_EQ(ex.stats().parks, 0u);
+}
+
+// Chain link k makes link k + 1 ready. Each body records its worker and
+// the address of one of its locals.
+struct ChainLog {
+  std::uint64_t next = 0;
+  std::size_t worker = 0;
+  bool same_worker = true;
+  std::uintptr_t frame_lo = UINTPTR_MAX;
+  std::uintptr_t frame_hi = 0;
+};
+
+void chain_link(TaskContext& ctx, Task& t) {
+  auto* log = reinterpret_cast<ChainLog*>(t.args[0]);
+  const std::uint64_t k = t.args[1];
+  const auto frame = reinterpret_cast<std::uintptr_t>(&k);
+  if (log->next == 0) log->worker = ctx.worker_id();
+  log->same_worker = log->same_worker && ctx.worker_id() == log->worker;
+  EXPECT_EQ(k, log->next);
+  ++log->next;
+  log->frame_lo = std::min(log->frame_lo, frame);
+  log->frame_hi = std::max(log->frame_hi, frame);
+}
+
+// A ready continuation runs in place, on the worker that made it ready, in
+// run()'s loop: 10^5 links leave the stack where the first one was, every
+// link runs on that worker, and executed counts each link once.
+TEST(ExecutorDrain, ContinuationChainRunsInPlaceWithoutGrowingTheStack) {
+  constexpr std::uint64_t kLinks = 100'000;
+  ListExec ex(ExecConfig{.workers = 2});
+  ChainLog log;
+  const auto log_arg = reinterpret_cast<std::uint64_t>(&log);
+  Task* next = nullptr;
+  for (std::uint64_t k = kLinks; k-- > 0;) {
+    next = ex.create(&chain_link, next, k == 0 ? 0 : 1, log_arg, k);
+  }
+  ex.submit(next);
+  ex.wait_all();
+  EXPECT_EQ(log.next, kLinks);
+  EXPECT_TRUE(log.same_worker);
+  EXPECT_LT(log.frame_hi - log.frame_lo, 4096u);
+  EXPECT_EQ(ex.stats().executed, kLinks);
 }
 
 // --- idle-path backoff accounting (satellite: PR 6 yields() contract) -----

@@ -198,7 +198,7 @@ std::vector<std::string> corpus_files() {
 
 TEST(ReplayCorpus, HasTheKnownNastySchedules) {
   const std::vector<std::string> files = corpus_files();
-  ASSERT_GE(files.size(), 6u) << "corpus went missing";
+  ASSERT_GE(files.size(), 7u) << "corpus went missing";
   const auto has = [&](const char* stem) {
     for (const std::string& f : files) {
       if (f.find(stem) != std::string::npos) return true;
@@ -211,6 +211,7 @@ TEST(ReplayCorpus, HasTheKnownNastySchedules) {
   EXPECT_TRUE(has("mutation-drop-deleted-bit"));
   EXPECT_TRUE(has("mutation-pop-keeps-value"));
   EXPECT_TRUE(has("mutation-push-skips-deleted-check"));
+  EXPECT_TRUE(has("exec-stale-two-null"));
 }
 
 TEST(ReplayCorpus, EveryFileParsesAndRoundTrips) {

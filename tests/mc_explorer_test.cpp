@@ -93,6 +93,27 @@ TEST(McExplorer, ListExecStealVsOwnPopExhaustiveClean) {
             0u);
 }
 
+TEST(McExplorer, ListExecStaleTwoNullExhaustiveClean) {
+  // The lost-task schedule (DESIGN.md §2): a thief's two-null splice over
+  // a stale neighbour read. With the adjacency check every interleaving is
+  // linearizable; the two-null branch is really taken, and the scenario
+  // really reaches the two-deleted state it guards.
+  const mc::ExploreResult res =
+      mc::explore(builtin("list-exec-stale-two-null"));
+  expect_clean_exhaustive(res);
+  EXPECT_GT(res.stats.two_deleted_states, 0u);
+  EXPECT_GT(res.stats.shape_steps[static_cast<std::size_t>(
+                dcas::DcasShape::kTwoNullSplice)],
+            0u);
+}
+
+TEST(McExplorer, ListDummyExecStaleTwoNullExhaustiveClean) {
+  const mc::ExploreResult res =
+      mc::explore(builtin("list-dummy-exec-stale-two-null"));
+  expect_clean_exhaustive(res);
+  EXPECT_GT(res.stats.two_deleted_states, 0u);
+}
+
 TEST(McExplorer, Figure16ScenarioVisitsTwoNullSplice) {
   // The engineered Figure 16 scenario must *provably* reach the paper's
   // two-logically-deleted-nodes state and resolve it with a successful

@@ -28,11 +28,11 @@ mc::Scenario mutated(const std::string& name, mc::Mutation m) {
   return sc;
 }
 
-// `parks` stage the chaos replay's racy window, for mutations that only
-// bite inside one.
-void expect_caught_and_replayable(
-    const mc::Scenario& sc,
-    const std::vector<mc::ReplayFile::ChaosPark>& parks = {}) {
+// The explorer must catch the mutation, and its counterexample must
+// survive a serialize → parse round trip and reproduce the identical
+// verdict through the scheduled runtime. Returns the parsed file.
+void expect_caught_with_scheduled_replay(const mc::Scenario& sc,
+                                         mc::ReplayFile& parsed) {
   const mc::ExploreResult res = mc::explore(sc);
   ASSERT_FALSE(res.ok) << "mutation survived exploration: " << res.message;
   ASSERT_NE(res.violation.kind, mc::ViolationKind::kNone);
@@ -41,11 +41,8 @@ void expect_caught_and_replayable(
   EXPECT_LE(res.violation.minimized_schedule.size(),
             res.violation.schedule.size());
 
-  // The counterexample must survive a serialize → parse round trip and
-  // reproduce the identical verdict through the scheduled runtime.
   const mc::ReplayFile file = mc::make_counterexample(sc, res.violation);
   const std::string text = mc::serialize_replay(file);
-  mc::ReplayFile parsed;
   std::string error;
   ASSERT_TRUE(mc::parse_replay(text, parsed, error)) << error;
   EXPECT_EQ(parsed.scenario.mutation, sc.mutation);
@@ -54,10 +51,20 @@ void expect_caught_and_replayable(
   const mc::ReplayOutcome scheduled = mc::run_replay(parsed);
   EXPECT_TRUE(scheduled.ok) << scheduled.message;
   EXPECT_EQ(scheduled.kind, res.violation.kind);
+}
 
-  // ChaosDcas reproduction on real preemptive threads. The verdict kind
-  // may differ (chaos audits only the final state), but the bug must
-  // still surface as a violation.
+// Also reproduces the bug under ChaosDcas on real preemptive threads.
+// `parks` stage the chaos replay's racy window, for mutations that only
+// bite inside one.
+void expect_caught_and_replayable(
+    const mc::Scenario& sc,
+    const std::vector<mc::ReplayFile::ChaosPark>& parks = {}) {
+  mc::ReplayFile parsed;
+  expect_caught_with_scheduled_replay(sc, parsed);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // The verdict kind may differ (chaos audits only the final state), but
+  // the bug must still surface as a violation.
   parsed.chaos_parks = parks;
   const mc::ReplayOutcome chaos = mc::run_replay_chaos(parsed);
   EXPECT_TRUE(chaos.ok) << chaos.message;
@@ -126,6 +133,36 @@ TEST(McMutation, PushMutationHarmlessWithoutPendingDeletion) {
   EXPECT_TRUE(res.ok && res.complete) << res.message;
 }
 
+// Without the adjacency check the thief's two-null splice, made over a
+// stale right neighbour, unlinks a live node: a value is lost. The
+// thief's window lies between two loads of delete_left, and chaos parks
+// fire only at CAS/DCAS sync points, so there is no chaos replay here;
+// DequeConservation.* reproduces the loss on real threads.
+TEST(McMutation, TwoNullSkipsAdjacencyCaughtOnList) {
+  mc::ReplayFile parsed;
+  expect_caught_with_scheduled_replay(
+      mutated("list-exec-stale-two-null",
+              mc::Mutation::kTwoNullSkipsAdjacency),
+      parsed);
+}
+
+TEST(McMutation, TwoNullSkipsAdjacencyCaughtOnListDummy) {
+  mc::ReplayFile parsed;
+  expect_caught_with_scheduled_replay(
+      mutated("list-dummy-exec-stale-two-null",
+              mc::Mutation::kTwoNullSkipsAdjacency),
+      parsed);
+}
+
+TEST(McMutation, TwoNullMutationHarmlessOnFigure16) {
+  // Control: in Figure 16 the two nulls are always neighbours, so the
+  // dropped check never changes a decision there — the catches above are
+  // attributable to the stale-neighbour schedule alone.
+  const mc::ExploreResult res = mc::explore(mutated(
+      "list-fig16-double-splice", mc::Mutation::kTwoNullSkipsAdjacency));
+  EXPECT_TRUE(res.ok && res.complete) << res.message;
+}
+
 TEST(McMutation, UnmutatedScenariosStayClean) {
   // Control: the same scenarios with mutation none are clean, so the
   // catches above are attributable to the planted bugs alone.
@@ -136,12 +173,15 @@ TEST(McMutation, UnmutatedScenariosStayClean) {
   EXPECT_TRUE(mc::explore(sc).ok);
   ASSERT_TRUE(mc::find_builtin("list-push-past-pending-delete", sc));
   EXPECT_TRUE(mc::explore(sc).ok);
+  ASSERT_TRUE(mc::find_builtin("list-exec-stale-two-null", sc));
+  EXPECT_TRUE(mc::explore(sc).ok);
 }
 
 TEST(McMutation, NamesRoundTrip) {
   for (const mc::Mutation m :
        {mc::Mutation::kNone, mc::Mutation::kDropDeletedBit,
-        mc::Mutation::kPopKeepsValue, mc::Mutation::kPushSkipsDeletedCheck}) {
+        mc::Mutation::kPopKeepsValue, mc::Mutation::kPushSkipsDeletedCheck,
+        mc::Mutation::kTwoNullSkipsAdjacency}) {
     mc::Mutation back{};
     ASSERT_TRUE(mc::mutation_from_name(mc::mutation_name(m), back));
     EXPECT_EQ(back, m);
