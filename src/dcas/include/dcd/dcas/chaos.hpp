@@ -59,8 +59,6 @@
 namespace dcd::dcas {
 
 // The algorithmic shape of a DCAS call, recovered from its operands.
-// The kElim* shapes are single-word CAS transitions of an elimination slot
-// (deque/elimination.hpp), classified by classify_cas below.
 enum class DcasShape : std::uint8_t {
   kGeneric = 0,        // pushes, MCAS internals, anything unclassified
   kEmptyConfirm,       // identity DCAS confirming an empty/full snapshot
@@ -68,10 +66,6 @@ enum class DcasShape : std::uint8_t {
   kLogicalDelete,      // list pop: deleted bit set + value nulled
   kSplice,             // physical delete, single-node splice
   kTwoNullSplice,      // physical delete, Figure 16 double splice
-  kElimOffer,          // pusher installs an offer into an empty slot
-  kElimTake,           // popper consumes an offer (the pair's lin. point)
-  kElimCancel,         // pusher withdraws an unconsumed offer
-  kElimClear,          // pusher reclaims a consumed (kElimTaken) slot
   kCount_,
 };
 
@@ -89,22 +83,6 @@ constexpr DcasShape classify_dcas(std::uint64_t oa, std::uint64_t ob,
   if (nb == kNull) {
     return deleted_of(na) ? DcasShape::kLogicalDelete : DcasShape::kPopCommit;
   }
-  return DcasShape::kGeneric;
-}
-
-// Classifies a single-word CAS from its operands. Only the elimination
-// slot transitions are recognisable (their words carry the reserved-bit
-// signatures word.hpp defines); everything else — MCAS internals, tests —
-// stays kGeneric and takes the uninstrumented fast path in ChaosDcas::cas.
-constexpr DcasShape classify_cas(std::uint64_t oldv,
-                                 std::uint64_t newv) noexcept {
-  if (oldv == kNull && is_elim_offer(newv)) return DcasShape::kElimOffer;
-  if (is_elim_offer(oldv)) {
-    if (newv == kElimTaken) return DcasShape::kElimTake;
-    if (newv == kNull) return DcasShape::kElimCancel;
-    return DcasShape::kGeneric;
-  }
-  if (oldv == kElimTaken && newv == kNull) return DcasShape::kElimClear;
   return DcasShape::kGeneric;
 }
 
@@ -211,15 +189,6 @@ class ChaosController {
   bool maybe_force_fail(DcasShape s) noexcept;
   void after_dcas(DcasShape s, bool ok) noexcept;
 
-  // Classified single-word CAS hooks (elimination slots). No forced
-  // failures (a lost CAS re-scans, it does not retry the same transition,
-  // so a spurious miss would silently skip protocol states) and no
-  // "dcas.any" — only the shape's own point fires: kElimOffer/kElimCancel/
-  // kElimClear before the attempt, kElimTake after success (it is the
-  // exchange's linearization point, like pop.logical_delete).
-  void before_cas(DcasShape s) noexcept;
-  void after_cas(DcasShape s, bool ok) noexcept;
-
   // Fires `point` rules outside any DCAS/CAS context — the magazine
   // allocator reports its refill/flush windows through this via the
   // reclaim::magazine_hook() trampoline chaos.cpp installs. Deliberately
@@ -270,16 +239,10 @@ class ChaosDcas {
     Inner::store_init(w, v);
   }
 
+  // Single-word CAS (LFRC's counts and slots) passes straight through:
+  // no deque algorithm issues one, so it has no sync point.
   static bool cas(Word& w, std::uint64_t oldv, std::uint64_t newv) noexcept {
-    const DcasShape s = classify_cas(oldv, newv);
-    if (s == DcasShape::kGeneric) return Inner::cas(w, oldv, newv);  // DCD_SYNC(policy-internal)
-    ChaosController* c = ChaosController::acquire();
-    if (c == nullptr) return Inner::cas(w, oldv, newv);  // DCD_SYNC(policy-internal)
-    c->before_cas(s);
-    const bool ok = Inner::cas(w, oldv, newv);  // DCD_SYNC(policy-internal)
-    c->after_cas(s, ok);
-    ChaosController::unpin();
-    return ok;
+    return Inner::cas(w, oldv, newv);  // DCD_SYNC(policy-internal)
   }
 
   static bool dcas(Word& a, Word& b, std::uint64_t oa, std::uint64_t ob,
@@ -321,12 +284,6 @@ inline constexpr const char* kPopCommit = "pop.commit";
 inline constexpr const char* kLogicalDelete = "pop.logical_delete";
 inline constexpr const char* kSplice = "delete.splice";
 inline constexpr const char* kTwoNullSplice = "delete.two_null_splice";
-// Elimination-slot CAS transitions (deque/elimination.hpp). Timing: offer/
-// cancel/clear fire before the attempt, take fires after success.
-inline constexpr const char* kElimOffer = "elim.offer";
-inline constexpr const char* kElimTake = "elim.take";
-inline constexpr const char* kElimCancel = "elim.cancel";
-inline constexpr const char* kElimClear = "elim.clear";
 // Magazine allocator windows (reclaim/magazine_pool.hpp), fired through
 // ChaosController::notify while the calling thread holds its magazine
 // try-lock — parking here proves other threads keep allocating.

@@ -115,7 +115,6 @@ class SchedDcasT {
     SchedAccess acc;
     acc.kind = AccessKind::kCas;
     acc.a = &w;
-    acc.shape = classify_cas(oldv, newv);  // elim slots; else kGeneric
     acc.oa = oldv;
     acc.na = newv;
     c->before_access(acc);

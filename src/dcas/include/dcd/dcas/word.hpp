@@ -60,10 +60,6 @@ inline constexpr std::uint64_t kSentR = kSpecialBit | (2ull << kPayloadShift);
 // value word holds kDummy is not a list element but an indirection standing
 // in for a set deleted bit.
 inline constexpr std::uint64_t kDummy = kSpecialBit | (3ull << kPayloadShift);
-// Elimination-slot state: a popper that consumed an offer parks this in the
-// slot so the pusher can observe the handoff (see deque/elimination.hpp).
-inline constexpr std::uint64_t kElimTaken =
-    kSpecialBit | (4ull << kPayloadShift);
 
 constexpr bool is_descriptor(std::uint64_t v) noexcept {
   return (v & kDescriptorBit) != 0;
@@ -105,27 +101,6 @@ constexpr bool deleted_of(std::uint64_t word) noexcept {
 // checker uses this to express "this DCAS forgot to set the deleted bit"
 // without doing reserved-bit arithmetic outside this header.
 constexpr std::uint64_t clear_deleted(std::uint64_t word) noexcept {
-  return word & ~kDeletedBit;
-}
-
-// --- elimination-slot words (deque/elimination.hpp) ------------------------
-//
-// An elimination slot cycles kNull -> offer -> (kNull | kElimTaken). An
-// offer wraps an already-encoded *value* word (payload words keep their low
-// three bits clear), tagged with kDeletedBit so it can never be confused
-// with kNull/kElimTaken (special bit set) or an in-flight MCAS descriptor
-// (descriptor bit set).
-
-constexpr std::uint64_t encode_elim_offer(std::uint64_t value_word) noexcept {
-  return value_word | kDeletedBit;
-}
-
-constexpr bool is_elim_offer(std::uint64_t word) noexcept {
-  return (word & (kDescriptorBit | kDeletedBit | kSpecialBit)) == kDeletedBit;
-}
-
-// Recovers the encoded value word from an offer.
-constexpr std::uint64_t elim_offer_value(std::uint64_t word) noexcept {
   return word & ~kDeletedBit;
 }
 

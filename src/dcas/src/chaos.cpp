@@ -50,10 +50,6 @@ const char* shape_name(DcasShape s) noexcept {
     case DcasShape::kLogicalDelete: return sync_point::kLogicalDelete;
     case DcasShape::kSplice: return sync_point::kSplice;
     case DcasShape::kTwoNullSplice: return sync_point::kTwoNullSplice;
-    case DcasShape::kElimOffer: return sync_point::kElimOffer;
-    case DcasShape::kElimTake: return sync_point::kElimTake;
-    case DcasShape::kElimCancel: return sync_point::kElimCancel;
-    case DcasShape::kElimClear: return sync_point::kElimClear;
     case DcasShape::kCount_: break;
   }
   return "?";
@@ -63,8 +59,7 @@ bool is_sync_point(const char* point) noexcept {
   namespace sp = sync_point;
   for (const char* known :
        {sp::kDcasAny, sp::kEmptyConfirm, sp::kPopCommit, sp::kLogicalDelete,
-        sp::kSplice, sp::kTwoNullSplice, sp::kElimOffer, sp::kElimTake,
-        sp::kElimCancel, sp::kElimClear, sp::kMagazineRefill,
+        sp::kSplice, sp::kTwoNullSplice, sp::kMagazineRefill,
         sp::kMagazineFlush, sp::kExecSteal, sp::kExecPark,
         sp::kExecInject}) {
     if (std::strcmp(point, known) == 0) return true;
@@ -336,30 +331,6 @@ void ChaosController::after_dcas(DcasShape s, bool ok) noexcept {
     default:
       break;
   }
-}
-
-void ChaosController::before_cas(DcasShape s) noexcept {
-  Impl::ThreadState& t = impl_->self();
-  t.fingerprint = fnv1a(t.fingerprint, static_cast<std::uint64_t>(s) | 0x20);
-  impl_->attempts[static_cast<std::size_t>(s)].fetch_add(
-      1, std::memory_order_relaxed);
-  impl_->maybe_delay(t);
-  switch (s) {
-    case DcasShape::kElimOffer:
-    case DcasShape::kElimCancel:
-    case DcasShape::kElimClear:
-      impl_->fire(shape_name(s));
-      break;
-    default:
-      break;
-  }
-}
-
-void ChaosController::after_cas(DcasShape s, bool ok) noexcept {
-  if (!ok) return;
-  impl_->successes[static_cast<std::size_t>(s)].fetch_add(
-      1, std::memory_order_relaxed);
-  if (s == DcasShape::kElimTake) impl_->fire(shape_name(s));
 }
 
 void ChaosController::notify(const char* point) noexcept {

@@ -36,7 +36,6 @@
 #include "dcd/dcas/concepts.hpp"
 #include "dcd/dcas/policies.hpp"
 #include "dcd/dcas/word.hpp"
-#include "dcd/deque/elimination.hpp"
 #include "dcd/deque/types.hpp"
 #include "dcd/deque/value_codec.hpp"
 #include "dcd/reclaim/concepts.hpp"
@@ -52,7 +51,8 @@ namespace dcd::deque {
 // Pool defaults to the per-thread magazine layer (DESIGN.md §13): the
 // shared-free-list serialization the paper never had (it assumed GC) would
 // otherwise dominate before the DCAS contention the paper reasons about.
-// Opt (NTTP, like ArrayDeque's ArrayOptions) gates the elimination layer.
+// Opt is an empty structural type, kept so bench_e2e/traced.hpp can still
+// pattern-match the five-parameter ListDeque.
 template <typename T, dcas::DcasPolicy Dcas = dcas::DefaultDcas,
           reclaim::ReclaimPolicy Reclaim = reclaim::EbrReclaim,
           reclaim::PoolPolicy Pool = reclaim::MagazinePool,
@@ -66,13 +66,10 @@ class ListDeque {
                 "policy (see dcd/reclaim/concepts.hpp)");
   static_assert(std::is_trivially_copyable_v<T>,
                 "values are stored as raw 61-bit word payloads");
-  static_assert(!Opt.elimination || Opt.elim_slots >= 1,
-                "an enabled elimination layer needs at least one slot");
 
  public:
   using value_type = T;
   using Codec = ValueCodec<T>;
-  static constexpr ListOptions kOptions = Opt;
 
   // `max_nodes` bounds live + not-yet-reclaimed nodes (the paper's deque is
   // unbounded given an unbounded allocator; a fixed pool makes allocation
@@ -144,16 +141,6 @@ class ListDeque {
                      ptr(node, false), ptr(node, false))) {  // lines 16-17
         return PushResult::kOkay;                        // line 18
       }
-      if constexpr (Opt.elimination) {
-        if (elim_r_.offer(Codec::encode(v), Opt.elim_slots, Opt.elim_polls)) {
-          // A same-end popper consumed the value (lin. point: its take
-          // CAS). The private node was never published; it still must go
-          // through EBR, not straight back to the free list — the
-          // pop-pop-push ABA note in list_deque_dummy.hpp applies as-is.
-          reclaimer_.retire(node, pool_);
-          return PushResult::kOkay;
-        }
-      }
       backoff.pause();
     }
   }
@@ -181,12 +168,6 @@ class ListDeque {
       if (Dcas::dcas(sl_.right, right_neighbor->left, old_r, old_rl,
                      ptr(node, false), ptr(node, false))) {
         return PushResult::kOkay;
-      }
-      if constexpr (Opt.elimination) {
-        if (elim_l_.offer(Codec::encode(v), Opt.elim_slots, Opt.elim_polls)) {
-          reclaimer_.retire(node, pool_);
-          return PushResult::kOkay;
-        }
       }
       backoff.pause();
     }
@@ -221,14 +202,6 @@ class ListDeque {
           return Codec::decode(v);                        // line 18
         }
       }
-      if constexpr (Opt.elimination) {
-        // Retry path only: exchange with a same-end pusher also in
-        // backoff. Both ops linearize at this take CAS (DESIGN.md §13).
-        std::uint64_t taken = 0;
-        if (elim_r_.take(Opt.elim_slots, &taken)) {
-          return Codec::decode(taken);
-        }
-      }
       backoff.pause();
     }
   }
@@ -257,12 +230,6 @@ class ListDeque {
         if (Dcas::dcas(sl_.right, node->value, old_r, v, new_r,
                        dcas::kNull)) {
           return Codec::decode(v);
-        }
-      }
-      if constexpr (Opt.elimination) {
-        std::uint64_t taken = 0;
-        if (elim_l_.take(Opt.elim_slots, &taken)) {
-          return Codec::decode(taken);
         }
       }
       backoff.pause();
@@ -539,11 +506,6 @@ class ListDeque {
   Reclaim reclaimer_;
   alignas(util::kCacheLineSize) Node sl_;
   alignas(util::kCacheLineSize) Node sr_;
-  // Per-end elimination arrays; storage-free when the layer is off.
-  using ElimEnd = std::conditional_t<Opt.elimination, EliminationEnd<Dcas>,
-                                     EliminationDisabled>;
-  [[no_unique_address]] ElimEnd elim_l_;
-  [[no_unique_address]] ElimEnd elim_r_;
 };
 
 }  // namespace dcd::deque

@@ -160,6 +160,20 @@ class ListDequeDummy {
 
  public:
   std::optional<T> pop_right() {
+    return pop_past_stalls(
+        [&](bool& stalled) { return pop_right_pinned(stalled); });
+  }
+
+  std::optional<T> pop_left() {
+    return pop_past_stalls(
+        [&](bool& stalled) { return pop_left_pinned(stalled); });
+  }
+
+ private:
+  // One pinned pop attempt. A failed dummy allocation sets `stalled` and
+  // returns, so pop_past_stalls (types.hpp) retries unpinned: spinning here
+  // while pinned would keep limbo from ever draining.
+  std::optional<T> pop_right_pinned(bool& stalled) {
     typename Reclaim::Guard guard(reclaimer_);
     util::AdaptiveBackoff::Session backoff;
     for (;;) {
@@ -184,11 +198,8 @@ class ListDequeDummy {
         // while nulling the value — one DCAS, exactly as with the bit.
         Node* dummy = allocate_node();
         if (dummy == nullptr) {
-          // Cannot represent the deleted state; treat like allocation
-          // failure on push (footnote 3's spirit): report empty only if
-          // provably empty, otherwise retry after a pause.
-          backoff.pause();
-          continue;
+          stalled = true;
+          return std::nullopt;
         }
         Dcas::store_init(dummy->value, dcas::kDummy);
         Dcas::store_init(dummy->left, ptr(pointee));
@@ -210,7 +221,7 @@ class ListDequeDummy {
     }
   }
 
-  std::optional<T> pop_left() {
+  std::optional<T> pop_left_pinned(bool& stalled) {
     typename Reclaim::Guard guard(reclaimer_);
     util::AdaptiveBackoff::Session backoff;
     for (;;) {
@@ -232,8 +243,8 @@ class ListDequeDummy {
       } else {
         Node* dummy = allocate_node();
         if (dummy == nullptr) {
-          backoff.pause();
-          continue;
+          stalled = true;
+          return std::nullopt;
         }
         Dcas::store_init(dummy->value, dcas::kDummy);
         Dcas::store_init(dummy->left, ptr(pointee));
@@ -245,12 +256,13 @@ class ListDequeDummy {
                        dcas::kNull)) {
           return Codec::decode(pv);
         }
-        reclaimer_.retire(dummy, pool_);  // see pop_right for why not direct
+        reclaimer_.retire(dummy, pool_);  // see pop_right_pinned: not direct
       }
       backoff.pause();
     }
   }
 
+ public:
   // --- quiescent inspection (tests only) ----------------------------------
   //
   // Like ListDeque's: raw acquire loads are sound here because a quiescent
@@ -354,9 +366,8 @@ class ListDequeDummy {
   // Footnote 3 contract (see ListDeque::allocate_node): a failed allocate
   // may only mean the free list is parked in EBR limbo; once pushes fail,
   // nothing retires, so no retire-triggered drain would ever run again.
-  // Prompt a collect and retry once before reporting exhaustion. The pop
-  // paths need this even more than the pushes — a pop that cannot allocate
-  // its dummy spins, so a stuck limbo would livelock it outright.
+  // Prompt a collect and retry once before reporting exhaustion; the pops
+  // then retry unpinned through pop_past_stalls.
   // `stalled` as in ListDeque::allocate_node.
   // DCD_REQUIRES_GUARD(pool allocate pops a shared free list; the op guard must pin the epoch)
   Node* allocate_node(bool* stalled = nullptr) {

@@ -47,6 +47,23 @@ PushResult push_past_stalls(Attempt&& attempt) {
   return r;
 }
 
+// The pop side of the same stall, for ListDequeDummy, whose pops allocate
+// a dummy node. `attempt(stalled)` is one whole pinned pop that sets
+// `stalled` when the dummy allocation failed. That is not "empty", so the
+// retries are unbounded: a pop reports empty only when the deque is. They
+// sleep unpinned, as above, so two stalled pops cannot block each other's
+// epoch advance.
+template <typename Attempt>
+auto pop_past_stalls(Attempt&& attempt) {
+  for (std::uint32_t i = 0;; ++i) {
+    bool stalled = false;
+    auto r = attempt(stalled);
+    if (!stalled) return r;
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(8u << std::min(i, 10u)));
+  }
+}
+
 // The two code fragments §3 explicitly calls optional ("we note that the
 // algorithm would still be correct if line 7, and/or lines 17 and 18, were
 // deleted ... Experimentation would be required"). Experiment E4 sweeps
@@ -64,22 +81,10 @@ struct ArrayOptions {
   constexpr bool operator==(const ArrayOptions&) const = default;
 };
 
-// Optional scalability layers for the list deque (NTTP, like ArrayOptions).
-// Everything defaults off so `ListDeque<T>` stays byte-for-byte the paper's
-// algorithm; the elimination layer is the documented extension of
-// DESIGN.md §13.
-struct ListOptions {
-  // Per-end elimination arrays: a same-end push and pop that are both in
-  // backoff exchange values directly, never touching the sentinel words.
-  bool elimination = false;
-  // Words per end scanned for an exchange partner (capped by the
-  // implementation's kMaxElimSlots).
-  std::uint32_t elim_slots = 4;
-  // How many polls a pusher waits on an installed offer before cancelling.
-  std::uint32_t elim_polls = 64;
-
-  constexpr bool operator==(const ListOptions&) const = default;
-};
+// ListDeque's fifth template parameter. It has no fields: it is kept only
+// so bench_e2e/traced.hpp can still pattern-match the five-parameter
+// ListDeque; drop both together with traced.hpp's ListParams.
+struct ListOptions {};
 
 // --- representation views (input to verify::RepAuditor) -------------------
 //

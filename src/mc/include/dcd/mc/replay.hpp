@@ -20,7 +20,7 @@
 //
 //   name: array-n2-mixed
 //   deque: array | array-no-recheck | array-no-view | array-bare | list
-//          | list-elim | list-dummy
+//          | list-dummy
 //   capacity: 64
 //   mutation: none | drop-deleted-bit | pop-keeps-value
 //             | push-skips-deleted-check | two-null-skips-adjacency

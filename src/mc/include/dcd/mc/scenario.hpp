@@ -24,18 +24,14 @@ namespace dcd::mc {
 
 // The four array kinds are §3's optional fragments (deque::ArrayOptions):
 // kArray keeps line 7 and lines 17–18, kArrayNoRecheck drops line 7,
-// kArrayNoView drops lines 17–18, kArrayBare drops both. kListElim is the
-// list deque with the per-end elimination layer compiled in (one slot, one
-// poll — the smallest configuration that still exercises every protocol
-// transition; see DESIGN.md §13). kListDummy is footnote 4's dummy-node
-// variant (deque::ListDequeDummy).
+// kArrayNoView drops lines 17–18, kArrayBare drops both. kListDummy is
+// footnote 4's dummy-node variant (deque::ListDequeDummy).
 enum class DequeKind : std::uint8_t {
   kArray,
   kArrayNoRecheck,
   kArrayNoView,
   kArrayBare,
   kList,
-  kListElim,
   kListDummy,
 };
 

@@ -21,10 +21,8 @@
 namespace dcd::mc {
 
 // Calls f.template operator()<D>() with the deque type of `kind` over
-// policy P. Elimination: one slot and one poll keep the extra interleaving
-// depth minimal while every protocol transition (offer/take/cancel/clear)
-// stays reachable. The pools' internal atomics are raw std::atomic, not
-// policy Words, so allocation adds no scheduling points.
+// policy P. The pools' internal atomics are raw std::atomic, not policy
+// Words, so allocation adds no scheduling points.
 template <typename P, typename F>
 decltype(auto) with_deque_type(DequeKind kind, F&& f) {
   using T = std::uint64_t;
@@ -41,12 +39,6 @@ decltype(auto) with_deque_type(DequeKind kind, F&& f) {
       return f.template operator()<ArrayDeque<T, P, ArrayOptions{false, false}>>();
     case DequeKind::kList:
       return f.template operator()<deque::ListDeque<T, P, reclaim::EbrReclaim>>();
-    case DequeKind::kListElim:
-      return f.template operator()<
-          deque::ListDeque<T, P, reclaim::EbrReclaim, reclaim::MagazinePool,
-                           deque::ListOptions{.elimination = true,
-                                              .elim_slots = 1,
-                                              .elim_polls = 1}>>();
     case DequeKind::kListDummy:
       return f.template operator()<
           deque::ListDequeDummy<T, P, reclaim::EbrReclaim>>();
@@ -76,12 +68,9 @@ struct DequeTraits<deque::ArrayDeque<std::uint64_t, P, O>> {
   }
 };
 
-// The elimination layer is invisible to the list representation (slots
-// are back to kNull whenever a completed protocol is audited, and an
-// in-flight offer lives outside the rep view).
-template <typename P, typename R, typename Pool, deque::ListOptions O>
-struct DequeTraits<deque::ListDeque<std::uint64_t, P, R, Pool, O>> {
-  using D = deque::ListDeque<std::uint64_t, P, R, Pool, O>;
+template <typename P, typename R, typename Pool>
+struct DequeTraits<deque::ListDeque<std::uint64_t, P, R, Pool>> {
+  using D = deque::ListDeque<std::uint64_t, P, R, Pool>;
   static std::size_t checker_capacity(std::size_t) {
     return verify::SpecDeque::kUnbounded;
   }

@@ -141,7 +141,6 @@ struct TraceStep {
   bool wrote = false;
   dcas::DcasShape shape = dcas::DcasShape::kGeneric;
   bool is_dcas = false;
-  bool is_cas = false;  // single-word CAS — elimination-slot transitions
 };
 
 TraceStep trace_step_of(const StepRecord& rec) {
@@ -155,17 +154,12 @@ TraceStep trace_step_of(const StepRecord& rec) {
     ts.shape = rec.shape;
     ts.is_dcas = rec.kind == dcas::AccessKind::kDcas ||
                  rec.kind == dcas::AccessKind::kDcasView;
-    ts.is_cas = rec.kind == dcas::AccessKind::kCas;
   }
   return ts;
 }
 
-// Successful DCAS *and* single-word CAS steps both count toward the shape
-// stats: the elimination protocol's transitions are classified CASes
-// (elim.offer/take/cancel/clear), and the acceptance tests assert the
-// explorer actually drove them.
 bool counts_toward_shapes(const TraceStep& ts) {
-  return (ts.is_dcas || ts.is_cas) && ts.wrote;
+  return ts.is_dcas && ts.wrote;
 }
 
 bool overlaps(const Footprint& f, const TraceStep& s) {

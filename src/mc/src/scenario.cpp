@@ -13,7 +13,6 @@ const char* deque_kind_name(DequeKind k) noexcept {
     case DequeKind::kArrayNoView: return "array-no-view";
     case DequeKind::kArrayBare: return "array-bare";
     case DequeKind::kList: return "list";
-    case DequeKind::kListElim: return "list-elim";
     case DequeKind::kListDummy: return "list-dummy";
   }
   return "?";
@@ -22,8 +21,7 @@ const char* deque_kind_name(DequeKind k) noexcept {
 bool deque_kind_from_name(const char* name, DequeKind& out) noexcept {
   for (const DequeKind k :
        {DequeKind::kArray, DequeKind::kArrayNoRecheck, DequeKind::kArrayNoView,
-        DequeKind::kArrayBare, DequeKind::kList, DequeKind::kListElim,
-        DequeKind::kListDummy}) {
+        DequeKind::kArrayBare, DequeKind::kList, DequeKind::kListDummy}) {
     if (std::strcmp(name, deque_kind_name(k)) == 0) {
       out = k;
       return true;
@@ -267,6 +265,18 @@ std::vector<Scenario> builtin_scenarios() {
     all.push_back(s);
   }
 
+  // Two pushers contend on the right end while a third thread pops it:
+  // every push's DCAS on SR can lose to the other push or to the pop's
+  // logical delete, and the pop can take the setup item or either new one.
+  {
+    Scenario s;
+    s.name = "list-same-end-two-pushers";
+    s.deque = DequeKind::kList;
+    s.setup = {push_r(10)};
+    s.threads = {{push_r(1)}, {push_r(2)}, {pop_r()}};
+    all.push_back(s);
+  }
+
   // Three threads around a single item: both ends pop it while a third
   // pushes on the left.
   {
@@ -275,25 +285,6 @@ std::vector<Scenario> builtin_scenarios() {
     s.deque = DequeKind::kList;
     s.setup = {push_r(7)};
     s.threads = {{pop_r()}, {pop_l()}, {push_l(9)}};
-    all.push_back(s);
-  }
-
-  // Elimination layer (DESIGN.md §13): same-end traffic engineered so a
-  // failed pop can meet a pending offer. Two right-pushers contend — in
-  // some interleavings one push's DCAS loses and posts an elimination
-  // offer; the popper, whose own DCAS the winning push invalidated, then
-  // scans the slot and takes the offer (elim.take — the linearization
-  // point of both the push and the pop). Other interleavings exercise
-  // elim.cancel (offer unclaimed) and elim.clear (pusher acknowledging the
-  // take). The explorer's shape stats assert all of these were reached,
-  // and the linearizability checker validates every outcome including the
-  // eliminated pair that never touched the list representation.
-  {
-    Scenario s;
-    s.name = "list-elim-same-end";
-    s.deque = DequeKind::kListElim;
-    s.setup = {push_r(10)};
-    s.threads = {{push_r(1)}, {push_r(2)}, {pop_r()}};
     all.push_back(s);
   }
 

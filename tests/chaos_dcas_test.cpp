@@ -70,24 +70,6 @@ TEST(ClassifyDcas, PushesAreGeneric) {
             DcasShape::kGeneric);
 }
 
-// --- single-word CAS classification (elimination slots) ---------------------
-
-TEST(ClassifyCas, OfferTakeCancelClearRoundTheProtocol) {
-  const std::uint64_t offer = encode_elim_offer(val(9));
-  EXPECT_EQ(classify_cas(kNull, offer), DcasShape::kElimOffer);
-  EXPECT_EQ(classify_cas(offer, kElimTaken), DcasShape::kElimTake);
-  EXPECT_EQ(classify_cas(offer, kNull), DcasShape::kElimCancel);
-  EXPECT_EQ(classify_cas(kElimTaken, kNull), DcasShape::kElimClear);
-}
-
-TEST(ClassifyCas, NonProtocolTransitionsAreGeneric) {
-  EXPECT_EQ(classify_cas(val(1), val(2)), DcasShape::kGeneric);
-  EXPECT_EQ(classify_cas(kNull, val(2)), DcasShape::kGeneric);
-  EXPECT_EQ(classify_cas(encode_elim_offer(val(1)), val(2)),
-            DcasShape::kGeneric);
-  EXPECT_EQ(classify_cas(kNull, kNull), DcasShape::kGeneric);
-}
-
 // --- schedule determinism --------------------------------------------------
 
 TEST(ChaosSchedule, FromSeedIsPure) {
@@ -174,6 +156,25 @@ TEST(ChaosDcasWrapper, ViewFormIsNeverForceFailed) {
   EXPECT_EQ(chaos.forced_failures(), 0u);
 }
 
+TEST(ChaosDcasWrapper, SingleWordCasPassesThroughAnInstalledController) {
+  // LFRC's counts and slots use P::cas; with a controller armed to fail
+  // every DCAS and park at every dcas.any, a CAS still neither fails
+  // spuriously, parks, nor counts as a DCAS attempt.
+  using P = ChaosDcas<McasDcas>;
+  ChaosSchedule s = quiet_schedule(9);
+  s.dcas_fail_per_mille = 1000;
+  ChaosController chaos(s);
+  const std::size_t rule = chaos.arm_park(sync_point::kDcasAny, 1);
+  Word a;
+  P::store_init(a, val(1));
+  EXPECT_TRUE(P::cas(a, val(1), val(2)));
+  EXPECT_FALSE(P::cas(a, val(1), val(3)));
+  EXPECT_EQ(P::load(a), val(2));
+  EXPECT_FALSE(chaos.parked(rule));
+  EXPECT_EQ(chaos.forced_failures(), 0u);
+  EXPECT_EQ(chaos.attempts(DcasShape::kGeneric), 0u);
+}
+
 // --- replay determinism ----------------------------------------------------
 
 // A fixed single-threaded op sequence; the injected-decision fingerprint
@@ -229,42 +230,6 @@ TEST(ChaosPark, ParkAtNthHitThenRelease) {
   EXPECT_EQ(GlobalLockDcas::load(a), val(3));
   EXPECT_FALSE(chaos.parked(rule));
   EXPECT_EQ(chaos.successes(DcasShape::kGeneric), 1u);
-}
-
-TEST(ChaosPark, ElimOfferParksBeforeTheAttempt) {
-  using P = ChaosDcas<GlobalLockDcas>;
-  ChaosController chaos(quiet_schedule());
-  const std::size_t rule = chaos.arm_park(sync_point::kElimOffer, 1);
-  Word slot;
-  P::store_init(slot, kNull);
-  const std::uint64_t offer = encode_elim_offer(val(6));
-  std::thread pusher([&] { EXPECT_TRUE(P::cas(slot, kNull, offer)); });
-  ASSERT_TRUE(chaos.wait_parked(rule, 5000));
-  // Parked *before* the CAS: the slot is still empty — the window where a
-  // popper's scan must simply see kNull and move on.
-  EXPECT_EQ(GlobalLockDcas::load(slot), kNull);
-  chaos.release(rule);
-  pusher.join();
-  EXPECT_EQ(GlobalLockDcas::load(slot), offer);
-  EXPECT_EQ(chaos.successes(DcasShape::kElimOffer), 1u);
-}
-
-TEST(ChaosPark, ElimTakeParksAfterSuccessAtTheLinearizationPoint) {
-  using P = ChaosDcas<GlobalLockDcas>;
-  ChaosController chaos(quiet_schedule());
-  const std::size_t rule = chaos.arm_park(sync_point::kElimTake, 1);
-  Word slot;
-  const std::uint64_t offer = encode_elim_offer(val(6));
-  P::store_init(slot, offer);
-  std::thread popper([&] { EXPECT_TRUE(P::cas(slot, offer, kElimTaken)); });
-  ASSERT_TRUE(chaos.wait_parked(rule, 5000));
-  // The take parks *after* its write: the transfer has already linearized
-  // (a suspended popper here models the paper's parked-thread concern —
-  // the pusher can still observe kElimTaken and clear).
-  EXPECT_EQ(GlobalLockDcas::load(slot), kElimTaken);
-  chaos.release(rule);
-  popper.join();
-  EXPECT_EQ(chaos.successes(DcasShape::kElimTake), 1u);
 }
 
 TEST(ChaosPark, MagazineRefillParksThroughTheInstalledHook) {

@@ -71,7 +71,7 @@ TEST(CodecProperty, PointerWordRoundTrip) {
 
 TEST(CodecProperty, SentinelAndSpecialDisjointness) {
   const std::uint64_t specials[] = {dw::kNull, dw::kSentL, dw::kSentR,
-                                    dw::kDummy, dw::kElimTaken};
+                                    dw::kDummy};
   for (std::size_t i = 0; i < std::size(specials); ++i) {
     EXPECT_TRUE(dw::is_special(specials[i]));
     EXPECT_FALSE(dw::is_descriptor(specials[i]));
@@ -82,23 +82,6 @@ TEST(CodecProperty, SentinelAndSpecialDisjointness) {
   }
   EXPECT_TRUE(dw::is_null(dw::kNull));
   EXPECT_FALSE(dw::is_null(dw::kSentL));
-}
-
-TEST(CodecProperty, ElimOfferRoundTrip) {
-  std::uint64_t s = 2;
-  for (int i = 0; i < kSamples; ++i) {
-    const std::uint64_t value = dw::encode_payload(splitmix64(s) &
-                                                   dw::kMaxPayload);
-    const std::uint64_t offer = dw::encode_elim_offer(value);
-    EXPECT_TRUE(dw::is_elim_offer(offer));
-    EXPECT_EQ(dw::elim_offer_value(offer), value);
-    // An offer is never confusable with the slot's other states.
-    EXPECT_FALSE(dw::is_special(offer));
-    EXPECT_FALSE(dw::is_descriptor(offer));
-    EXPECT_FALSE(dw::is_elim_offer(dw::kNull));
-    EXPECT_FALSE(dw::is_elim_offer(dw::kElimTaken));
-    EXPECT_FALSE(dw::is_elim_offer(value));
-  }
 }
 
 TEST(CodecProperty, ValueCodecUnsignedExtremes) {

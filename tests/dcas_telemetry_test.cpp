@@ -6,12 +6,14 @@
 #include "dcd/dcas/telemetry.hpp"
 #include "dcd/deque/array_deque.hpp"
 #include "dcd/deque/list_deque.hpp"
+#include "dcd/deque/list_deque_dummy.hpp"
 
 namespace {
 
 using namespace dcd::dcas;
 using dcd::deque::ArrayDeque;
 using dcd::deque::ListDeque;
+using dcd::deque::ListDequeDummy;
 
 constexpr std::uint64_t val(std::uint64_t x) { return encode_payload(x); }
 
@@ -75,6 +77,36 @@ TEST(Telemetry, EmptyPopOnListIsDcasFree) {
   }
   const Counters c = Telemetry::snapshot();
   EXPECT_EQ(c.dcas_calls, 0u);
+}
+
+// Both list deques synchronise through DCAS alone: no path issues a
+// single-word P::cas, which the model checker relies on when it schedules
+// only loads and DCASes. GlobalLockDcas counts each P::cas in cas_ops.
+template <typename D>
+void expect_no_single_word_cas() {
+  D d(256);
+  Telemetry::reset();
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    ASSERT_EQ(d.push_right(i), dcd::deque::PushResult::kOkay);
+    ASSERT_EQ(d.push_left(i), dcd::deque::PushResult::kOkay);
+  }
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(d.pop_left().has_value());
+    ASSERT_TRUE(d.pop_right().has_value());
+  }
+  EXPECT_FALSE(d.pop_left().has_value());
+  EXPECT_FALSE(d.pop_right().has_value());
+  const Counters c = Telemetry::snapshot();
+  EXPECT_GT(c.dcas_calls, 0u);
+  EXPECT_EQ(c.cas_ops, 0u);
+}
+
+TEST(Telemetry, ListDequeIssuesNoSingleWordCas) {
+  expect_no_single_word_cas<ListDeque<std::uint64_t, GlobalLockDcas>>();
+}
+
+TEST(Telemetry, ListDequeDummyIssuesNoSingleWordCas) {
+  expect_no_single_word_cas<ListDequeDummy<std::uint64_t, GlobalLockDcas>>();
 }
 
 TEST(Telemetry, EmptyPopOnArrayCostsAConfirmingDcas) {

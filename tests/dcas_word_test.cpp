@@ -60,31 +60,6 @@ TEST(WordEncoding, NullPointerEncodes) {
   EXPECT_EQ(pointer_of<int>(w), nullptr);
 }
 
-TEST(WordEncoding, ElimOfferRoundTripsAndIsUnambiguous) {
-  // An elimination offer is a payload word with only the deleted bit set:
-  // distinguishable from descriptors (bit 0), specials (bit 2), and plain
-  // payloads (no tag bits) by the low tag bits alone.
-  const std::uint64_t v = encode_payload(12345);
-  const std::uint64_t offer = encode_elim_offer(v);
-  EXPECT_TRUE(is_elim_offer(offer));
-  EXPECT_EQ(elim_offer_value(offer), v);
-  EXPECT_FALSE(is_descriptor(offer));
-  EXPECT_FALSE(is_special(offer));
-  // Non-offers must not be mistaken for offers.
-  EXPECT_FALSE(is_elim_offer(v));
-  EXPECT_FALSE(is_elim_offer(kNull));
-  EXPECT_FALSE(is_elim_offer(kElimTaken));
-  EXPECT_FALSE(is_elim_offer(offer | kDescriptorBit));
-}
-
-TEST(WordEncoding, ElimTakenIsASpecialDistinctFromTheOthers) {
-  EXPECT_TRUE(is_special(kElimTaken));
-  EXPECT_FALSE(is_descriptor(kElimTaken));
-  for (const std::uint64_t s : {kNull, kSentL, kSentR, kDummy}) {
-    EXPECT_NE(kElimTaken, s);
-  }
-}
-
 TEST(WordEncoding, WordValueInitialisesToZero) {
   Word w{};  // value-init zeroes; default-init is deliberately a no-op
   EXPECT_EQ(w.raw.load(), 0u);

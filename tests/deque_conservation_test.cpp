@@ -8,24 +8,29 @@
 // (DESIGN.md §2): without the adjacency check a thief's splice over a
 // stale neighbour unlinks a live node, about once in 40k–200k values on
 // a 4-vCPU x86 host, far rarer than the linearizability stress tests can
-// see. The runs stop at
-// the first round that loses or duplicates a value. ListDequeDummy, which
-// had the same erratum, is covered by the model checker's
-// list-dummy-exec-stale-two-null scenario instead: its pops allocate a
-// dummy while pinned, and a pool drained into limbo can leave both
-// threads spinning in pop under a loaded host.
+// see. The runs stop at the first round that loses or duplicates a value.
+//
+// ListDequeDummy had the same erratum, and its pops allocate a dummy node:
+// a preempted thief can leave the pool in EBR limbo, and two pops that
+// wait for a dummy while pinned block each other's epoch advance for good.
+// A watchdog turns such a livelock into a failure within seconds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "dcd/dcas/policies.hpp"
 #include "dcd/deque/list_deque.hpp"
+#include "dcd/deque/list_deque_dummy.hpp"
+#include "dcd/util/align.hpp"
 #include "dcd/util/rng.hpp"
 
 namespace {
@@ -40,17 +45,74 @@ struct Tally {
   int rounds = 0;
 };
 
+// How long a round may go without a completed operation before the
+// watchdog calls it a livelock. A push gives up on a stalled pool after
+// about 0.19 s and a pop's unpinned retries sleep at most 8.2 ms, so a
+// working deque never comes close.
+constexpr auto kStuckAfter = std::chrono::seconds(5);
+
+// Aborts the test binary when neither thread of a round completes an
+// operation for kStuckAfter, so a livelocked pop fails the test in seconds
+// instead of running into the ctest timeout. Each thread publishes its own
+// count on its own cache line, so watching does not perturb the race.
+class Watchdog {
+ public:
+  Watchdog() : thread_([this] { watch(); }) {}
+  ~Watchdog() {
+    done_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+  void tick(std::size_t who) {
+    ops_[who]->store(ops_[who]->load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
+  }
+
+ private:
+  std::uint64_t total() const {
+    return ops_[0]->load(std::memory_order_relaxed) +
+           ops_[1]->load(std::memory_order_relaxed);
+  }
+
+  void watch() {
+    std::uint64_t last = total();
+    Clock::time_point since = Clock::now();
+    while (!done_.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      if (const std::uint64_t now = total(); now != last) {
+        last = now;
+        since = Clock::now();
+      } else if (Clock::now() - since > kStuckAfter) {
+        std::fprintf(stderr,
+                     "watchdog: no deque operation completed in %lld s, "
+                     "livelock\n",
+                     static_cast<long long>(kStuckAfter.count()));
+        std::abort();
+      }
+    }
+  }
+
+  // One counter per thread: [0] the owner, [1] the thief.
+  std::array<util::CacheAligned<std::atomic<std::uint64_t>>, 2> ops_{};
+  std::atomic<bool> done_{false};
+  std::thread thread_;  // declared last: starts once the counters exist
+};
+
 // One round: values 1..n are pushed in order, so `seen` is indexed by
 // value. Each thread keeps its own list of popped values; the round's
 // tally is merged after both have joined.
 template <typename D>
 void run_round(Clock::duration length, std::uint64_t seed, Tally& tally) {
   D d;
+  Watchdog watchdog;
   std::atomic<bool> stop{false};
   std::vector<std::uint64_t> stolen;
   std::thread thief([&] {
     while (!stop.load(std::memory_order_acquire)) {
       if (std::optional<std::uint64_t> v = d.pop_left()) stolen.push_back(*v);
+      watchdog.tick(1);
     }
   });
 
@@ -65,10 +127,12 @@ void run_round(Clock::duration length, std::uint64_t seed, Tally& tally) {
       // thief) is a legal answer (footnote 3): the value is not pushed.
       for (std::uint64_t i = 0; i < pushes; ++i) {
         if (d.push_right(next) == deque::PushResult::kOkay) ++next;
+        watchdog.tick(0);
       }
       const std::uint64_t pops = 1 + rng.below(5);
       for (std::uint64_t i = 0; i < pops; ++i) {
         if (std::optional<std::uint64_t> v = d.pop_right()) owned.push_back(*v);
+        watchdog.tick(0);
       }
     }
   }
@@ -110,6 +174,7 @@ void expect_conserved(Clock::duration budget) {
 }
 
 using List = deque::ListDeque<std::uint64_t, dcas::GlobalLockDcas>;
+using ListDummy = deque::ListDequeDummy<std::uint64_t, dcas::GlobalLockDcas>;
 
 TEST(DequeConservation, ListOwnerRightThiefLeft) {
   expect_conserved<List>(std::chrono::seconds(10));
@@ -118,6 +183,14 @@ TEST(DequeConservation, ListOwnerRightThiefLeft) {
 // The same check in a budget the sanitizer CI jobs can afford.
 TEST(DequeConservation, ListOwnerRightThiefLeftShort) {
   expect_conserved<List>(std::chrono::seconds(1));
+}
+
+TEST(DequeConservation, ListDummyOwnerRightThiefLeft) {
+  expect_conserved<ListDummy>(std::chrono::seconds(10));
+}
+
+TEST(DequeConservation, ListDummyOwnerRightThiefLeftShort) {
+  expect_conserved<ListDummy>(std::chrono::seconds(1));
 }
 
 }  // namespace

@@ -70,6 +70,20 @@ TYPED_TEST(ListLinTest, PopHeavyHammersDeletedStates) {
   this->check_rounds(cfg, 30);
 }
 
+TYPED_TEST(ListLinTest, RightEndOnlySameEndContention) {
+  // Every op on one end: all threads contend for the right sentinel's
+  // DCAS, and pops race the pushes that follow their logical deletes.
+  WorkloadConfig cfg;
+  cfg.threads = 3;
+  cfg.ops_per_thread = 10;
+  cfg.seed = 66;
+  cfg.push_right = 4;
+  cfg.pop_right = 4;
+  cfg.push_left = 0;
+  cfg.pop_left = 0;
+  this->check_rounds(cfg, 40);
+}
+
 TYPED_TEST(ListLinTest, ThreeThreadsMixed) {
   WorkloadConfig cfg;
   cfg.threads = 3;

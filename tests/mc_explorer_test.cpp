@@ -131,32 +131,6 @@ TEST(McExplorer, Figure16ScenarioVisitsTwoNullSplice) {
             0u);
 }
 
-TEST(McExplorer, ListElimSameEndExhaustiveClean) {
-  // Elimination layer (DESIGN.md §13): same-end push/pop traffic under two
-  // contending pushers. Exhaustive exploration must (a) stay linearizable
-  // across every interleaving — including the eliminated pairs that
-  // transfer a value without touching the list — and (b) provably drive
-  // every protocol transition: offer, the take that linearizes both ops,
-  // the cancel of an unclaimed offer, and the pusher's clear handshake.
-  const mc::ExploreResult res = mc::explore(builtin("list-elim-same-end"));
-  expect_clean_exhaustive(res);
-  const auto steps = [&](dcas::DcasShape s) {
-    return res.stats.shape_steps[static_cast<std::size_t>(s)];
-  };
-  EXPECT_GT(steps(dcas::DcasShape::kElimOffer), 0u) << "no offer posted";
-  EXPECT_GT(steps(dcas::DcasShape::kElimTake), 0u)
-      << "no interleaving eliminated a push/pop pair";
-  EXPECT_GT(steps(dcas::DcasShape::kElimCancel), 0u) << "no offer cancelled";
-  EXPECT_GT(steps(dcas::DcasShape::kElimClear), 0u) << "no take acknowledged";
-  // Exactly-once transfer: every take is matched by one clear (the pusher
-  // that observed its offer consumed), never by a cancel of the same slot.
-  EXPECT_EQ(steps(dcas::DcasShape::kElimTake),
-            steps(dcas::DcasShape::kElimClear));
-  EXPECT_GT(res.stats.shape_executions[static_cast<std::size_t>(
-                dcas::DcasShape::kElimTake)],
-            0u);
-}
-
 TEST(McExplorer, ListFig16PushesExhaustiveClean) {
   // Pushes after the logical deletes must run the physical deletes
   // (Figure 15) before publishing, including the two-null double splice.
@@ -172,6 +146,12 @@ TEST(McExplorer, ListPushPastPendingDeleteExhaustiveClean) {
 
 TEST(McExplorer, ListSameEndFromEmptyExhaustiveClean) {
   expect_clean_exhaustive(mc::explore(builtin("list-same-end-from-empty")));
+}
+
+TEST(McExplorer, ListSameEndTwoPushersExhaustiveClean) {
+  // Three threads on one end: two pushes race each other and a pop for
+  // the right sentinel's DCAS.
+  expect_clean_exhaustive(mc::explore(builtin("list-same-end-two-pushers")));
 }
 
 TEST(McExplorer, ListSingletonThreeThreadsExhaustiveClean) {
@@ -296,8 +276,8 @@ TEST(McExplorerCrossValidation, ListSingleItemMatchesBruteForce) {
   expect_same_outcomes("list-single-item-pop-race");
 }
 
-TEST(McExplorerCrossValidation, ListElimMatchesBruteForce) {
-  expect_same_outcomes("list-elim-same-end");
+TEST(McExplorerCrossValidation, ListSameEndTwoPushersMatchesBruteForce) {
+  expect_same_outcomes("list-same-end-two-pushers");
 }
 
 TEST(McExplorerCrossValidation, ListDummyMatchesBruteForce) {

@@ -1,14 +1,19 @@
 // LFRC (the authors' [12] methodology): count discipline, the DCAS-based
 // load race closure, and the demonstration stack's conservation + absence
-// of leaks, across DCAS policies.
+// of leaks, across DCAS policies. The ChaosDcas rows run under a live
+// controller, so LFRC's single-word CASes and its DCASes both go through
+// the fault-injection wrapper.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "dcd/dcas/chaos.hpp"
 #include "dcd/reclaim/lfrc.hpp"
 #include "dcd/reclaim/tagged_pool.hpp"
 #include "dcd/util/sanitizer.hpp"
@@ -18,9 +23,31 @@
 namespace {
 
 using namespace dcd::reclaim;
+using dcd::dcas::ChaosController;
+using dcd::dcas::ChaosDcas;
+using dcd::dcas::ChaosSchedule;
 using dcd::dcas::GlobalLockDcas;
 using dcd::dcas::McasDcas;
 using dcd::dcas::StripedLockDcas;
+
+using Chaos = ChaosDcas<McasDcas>;
+
+// Installs a controller for the Chaos rows: random delays before loads and
+// DCASes, and spurious failures of boolean DCASes, which LFRC must retry.
+template <typename P>
+struct ChaosScope {
+  std::optional<ChaosController> chaos;
+  ChaosScope() {
+    if constexpr (std::is_same_v<P, Chaos>) {
+      ChaosSchedule s;
+      s.seed = dcd::dcas::chaos_seed_from_env(0x1f2c);
+      s.delay_per_mille = 50;
+      s.max_delay_spins = 64;
+      s.dcas_fail_per_mille = 50;
+      chaos.emplace(s);
+    }
+  }
+};
 
 std::atomic<std::int64_t> g_live{0};
 
@@ -84,9 +111,12 @@ class LfrcTest : public ::testing::Test {
 
   void SetUp() override { g_live.store(0); }
   void TearDown() override { EXPECT_EQ(g_live.load(), 0) << "leak"; }
+
+  ChaosScope<P> chaos_;
 };
 
-using Policies = ::testing::Types<GlobalLockDcas, StripedLockDcas, McasDcas>;
+using Policies =
+    ::testing::Types<GlobalLockDcas, StripedLockDcas, McasDcas, Chaos>;
 TYPED_TEST_SUITE(LfrcTest, Policies);
 
 TYPED_TEST(LfrcTest, CreateDestroy) {
@@ -202,7 +232,10 @@ TYPED_TEST(LfrcTest, ConcurrentLoadersNeverSeeFreedObjects) {
 // --- the demonstration stack -------------------------------------------------
 
 template <typename P>
-class LfrcStackTest : public ::testing::Test {};
+class LfrcStackTest : public ::testing::Test {
+ protected:
+  ChaosScope<P> chaos_;
+};
 TYPED_TEST_SUITE(LfrcStackTest, Policies);
 
 TYPED_TEST(LfrcStackTest, SequentialLifo) {

@@ -9,9 +9,9 @@ Nine passes over src/ (see passes.py and tools/analyze/README.md):
   sync         every CAS/DCAS call site in src/deque, src/reclaim, src/dcas
                maps to a classified sync point from chaos.hpp's roster
                (ChaosController::arm_park checks the other direction)
-  progress     every CAS-failure retry loop reaches a backoff/elimination/
-               helping edge on its failure path (the non-blocking claim as
-               a CFG obligation)
+  progress     every CAS-failure retry loop reaches a backoff or helping
+               edge on its failure path (the non-blocking claim as a CFG
+               obligation)
   lp           every DCAS site in src/deque carries a DCD_LP
                proof-obligation annotation; coverage is validated against
                the RepAuditor clause roster and rendered into

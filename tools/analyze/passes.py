@@ -404,7 +404,7 @@ def run_progress_pass(models: list[cm.FileModel],
                     "progress", "retry-loop-no-progress", loop.path,
                     loop.line,
                     f"{loop.header} retry loop around CAS sites at lines "
-                    f"{list(loop.cas_lines)} reaches no backoff/elimination/"
+                    f"{list(loop.cas_lines)} reaches no backoff or "
                     "helping edge on its failure path; add one or justify "
                     "with DCD_PROGRESS(reason)",
                     _snippet(model, loop.line)))
@@ -416,7 +416,7 @@ def run_progress_pass(models: list[cm.FileModel],
                     loop.path, loop.line,
                     f"{loop.header} retry loop's fall-through path re-enters "
                     "the CAS without reaching a progress edge (last "
-                    "statement has no backoff/elimination call)",
+                    "statement has no backoff call)",
                     _snippet(model, loop.line)))
             for cont in loop.continue_offsets:
                 guarded = any(cont - CONTINUE_GUARD_SPAN <= p < cont
@@ -427,7 +427,7 @@ def run_progress_pass(models: list[cm.FileModel],
                         loop.path, loop.line,
                         "a `continue` in this retry loop skips the loop tail "
                         "without first reaching a progress edge "
-                        "(backoff/helping/elimination)",
+                        "(backoff/helping)",
                         _snippet(model, loop.line)))
                     break
     return findings
@@ -1181,8 +1181,8 @@ def emit_proof_map(models: list[cm.FileModel], cfg: dict,
     out.append("transition must preserve the listed `RepAuditor` clauses,")
     out.append("and non-`aux` rows are the operations' linearization points")
     out.append("under the stated condition. `aux` rows are structural steps")
-    out.append("(helping, physical deletion, elimination bookkeeping) that")
-    out.append("change the representation but not the abstract deque value.")
+    out.append("(helping, physical deletion) that change the representation")
+    out.append("but not the abstract deque value.")
     out.append("")
     cur_file = None
     covered: dict[str, int] = {c: 0 for c in sorted(clauses)}
