@@ -9,8 +9,8 @@
 // progress claim on CAS-only hardware.
 //
 // Structure:
-//   * An operation publishes an McasDesc and installs a marked pointer to
-//     it in each target word via RDCSS (a restricted DCAS that makes the
+//   * An operation publishes an McasDesc and installs a marked reference
+//     to it in each target word via RDCSS (a restricted DCAS that makes the
 //     installation conditional on the operation still being UNDECIDED).
 //   * Any thread that encounters a marked word helps the operation to
 //     completion, so a stalled owner never blocks others (lock-freedom).
@@ -18,10 +18,13 @@
 //     word; phase 2 replaces the marks with new (success) or old (failure)
 //     values.
 //
-// Descriptor lifetime is managed by the process-wide EBR domain: helpers
-// only dereference descriptors while pinned, and descriptors are retired
-// after phase 2, so the grace period prevents both use-after-free and
-// descriptor-address ABA.
+// Descriptors are reused, not recycled (Arbel-Raviv & Brown, "Reuse, don't
+// recycle", DISC 2017): each thread owns one immortal descriptor of each
+// kind and reuses it for every operation under a new sequence number. A
+// marked word holds (seq, slot, kind), not an address, so a stale helper's
+// CAS can only fail, and a helper validates its copy of the fields against
+// the sequence number before acting on it (DESIGN.md §13.4). No operation
+// pins a reclamation epoch, and descriptor memory is constant.
 //
 // Words managed by this policy must keep bit 0 clear in all user-visible
 // values (guaranteed by the dcd::dcas word encoding).

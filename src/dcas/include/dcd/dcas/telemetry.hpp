@@ -23,7 +23,7 @@ struct Counters {
   std::uint64_t hw_dcas_calls = 0;    // raw cmpxchg16b ops (pools, E1)
   std::uint64_t hw_dcas_failures = 0;
   std::uint64_t helps = 0;           // MCAS helping episodes
-  std::uint64_t descriptors = 0;     // descriptors allocated
+  std::uint64_t descriptors = 0;     // MCAS/RDCSS descriptors initialised
 
   Counters& operator+=(const Counters& o) noexcept {
     loads += o.loads;

@@ -1,10 +1,8 @@
 #include "dcd/dcas/mcas.hpp"
 
-#include <new>
+#include <algorithm>
 #include <utility>
 
-#include "dcd/reclaim/ebr.hpp"
-#include "dcd/reclaim/tagged_pool.hpp"
 #include "dcd/util/align.hpp"
 #include "dcd/util/assert.hpp"
 #include "dcd/util/thread_registry.hpp"
@@ -13,318 +11,311 @@ namespace dcd::dcas {
 
 namespace {
 
-// Mark layout inside a descriptor-carrying word: bit0 set; bit1 selects the
-// descriptor kind. Descriptors are 64-aligned so the payload bits recover
-// the address exactly.
+// A marked word holds a descriptor reference, never an address (DESIGN.md
+// §13.4):
+//
+//   bits 9..63  seq   the descriptor's sequence number at publication
+//   bits 2..8   slot  the owner's ThreadRegistry slot
+//   bits 0..1   mark  kRdcssMark or kMcasMark (bit 0 is the descriptor bit)
+//
+// Every slot owns one immortal descriptor of each kind and reuses it for
+// every operation under a new sequence number, so a reference names one
+// operation, and occurs in a word at most once in the process's life.
 constexpr std::uint64_t kRdcssMark = 0b01;
 constexpr std::uint64_t kMcasMark = 0b11;
 constexpr std::uint64_t kMarkBits = 0b11;
+constexpr unsigned kSlotShift = 2;
+constexpr unsigned kSeqShift = 9;
+constexpr std::uint64_t kSlotMask = (1ull << (kSeqShift - kSlotShift)) - 1;
+// Sequence numbers are even once published and wrap at 2^55.
+constexpr std::uint64_t kSeqMask = ~0ull >> kSeqShift;
+static_assert(util::ThreadRegistry::kMaxThreads <= kSlotMask + 1,
+              "a descriptor reference has 7 bits of registry slot");
 
-constexpr bool is_marked(std::uint64_t v) { return is_descriptor(v); }
-constexpr bool is_rdcss(std::uint64_t v) { return (v & kMarkBits) == kRdcssMark; }
-constexpr bool is_mcas(std::uint64_t v) { return (v & kMarkBits) == kMcasMark; }
-
+// Status word of an MCAS descriptor: (seq << 2) | status.
+constexpr unsigned kStatusBits = 2;
 constexpr std::uint64_t kUndecided = 0;
 constexpr std::uint64_t kSucceeded = 1;
 constexpr std::uint64_t kFailed = 2;
 
-struct alignas(64) McasDesc {
+constexpr bool is_marked(std::uint64_t v) { return is_descriptor(v); }
+constexpr bool is_rdcss(std::uint64_t v) { return (v & kMarkBits) == kRdcssMark; }
+constexpr bool is_mcas(std::uint64_t v) { return (v & kMarkBits) == kMcasMark; }
+constexpr std::uint64_t make_ref(std::uint64_t seq, std::size_t slot,
+                                 std::uint64_t mark) {
+  return (seq << kSeqShift) | (std::uint64_t{slot} << kSlotShift) | mark;
+}
+constexpr std::uint64_t seq_of(std::uint64_t ref) { return ref >> kSeqShift; }
+constexpr std::size_t slot_of(std::uint64_t ref) {
+  return (ref >> kSlotShift) & kSlotMask;
+}
+constexpr std::uint64_t next_seq(std::uint64_t seq) {
+  return (seq + 2) & kSeqMask;
+}
+constexpr std::uint64_t make_state(std::uint64_t seq, std::uint64_t status) {
+  return (seq << kStatusBits) | status;
+}
+constexpr std::uint64_t state_seq(std::uint64_t state) {
+  return state >> kStatusBits;
+}
+
+// Descriptor fields are relaxed atomics written under a seqlock on `seq`
+// (odd while the owner rewrites them). A helper holding a reference copies
+// the fields, then re-checks `seq` against the reference; a mismatch means
+// the operation finished and its reference is in no word any more.
+struct alignas(util::kCacheLineSize) McasDesc {
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<std::uint64_t> state{0};  // make_state(seq, status)
+  std::atomic<std::size_t> width{0};
+  std::atomic<Word*> addr[McasDcas::kMaxCasnWidth];
+  std::atomic<std::uint64_t> oldv[McasDcas::kMaxCasnWidth];
+  std::atomic<std::uint64_t> newv[McasDcas::kMaxCasnWidth];
+};
+
+// RDCSS sub-descriptor: "replace oldv with mref in the word that holds this
+// reference if mref's operation is still UNDECIDED". mref names both the
+// value to install and the status word it is conditional on.
+struct alignas(util::kCacheLineSize) RdcssDesc {
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<std::uint64_t> oldv{0};
+  std::atomic<std::uint64_t> mref{0};
+};
+
+// Zero-initialised static storage with trivial destructors: descriptor
+// memory is two descriptors per registry slot, whatever the stalls, and
+// stays valid for stale helpers at any time. A recycled slot hands its
+// descriptors, sequence numbers included, to the next owner through
+// ThreadRegistry's release/acquire on the slot flag.
+McasDesc g_mcas[util::ThreadRegistry::kMaxThreads];
+RdcssDesc g_rdcss[util::ThreadRegistry::kMaxThreads];
+
+// One MCAS as its owner wrote it, or as a helper copied and validated it.
+struct Op {
+  std::uint64_t ref;
+  std::size_t width;
   Word* addr[McasDcas::kMaxCasnWidth];
   std::uint64_t oldv[McasDcas::kMaxCasnWidth];
   std::uint64_t newv[McasDcas::kMaxCasnWidth];
-  std::size_t width;
-  std::atomic<std::uint64_t> status{kUndecided};
-  bool pooled;  // storage origin, for the dispose path
 };
 
-// RDCSS sub-descriptor: "install newv into *data if *data == oldv and the
-// operation's status is still UNDECIDED".
-struct alignas(64) RdcssDesc {
-  std::atomic<std::uint64_t>* cond;  // &owner->status
-  Word* data;
-  std::uint64_t oldv;
-  std::uint64_t newv;  // mcas-marked owner descriptor
-  bool pooled;
+// The calling thread's slot and counters, looked up once per operation.
+struct Self {
+  std::size_t slot;
+  Counters& c;
 };
 
-// Descriptor storage. A heap `new` would route the "lock-free" DCAS
-// through malloc's locks, so descriptors come from lock-free type-stable
-// pools, with the heap as the fallback once a pool is empty. The pools are
-// immortal (leaked singletons): the global EBR domain's force-drain at
-// process exit returns the last descriptors to them, so they must outlive
-// every static destructor.
-constexpr std::size_t kDescPoolCapacity = 1 << 14;
-
-reclaim::TaggedNodePool& mcas_desc_pool() {
-  static auto* pool =
-      new reclaim::TaggedNodePool(sizeof(McasDesc), kDescPoolCapacity);
-  return *pool;
-}
-reclaim::TaggedNodePool& rdcss_desc_pool() {
-  static auto* pool =
-      new reclaim::TaggedNodePool(sizeof(RdcssDesc), kDescPoolCapacity);
-  return *pool;
-}
-
-// Per-thread descriptor recycling (DESIGN.md §13.4). Every DCAS takes one
-// MCAS and two RDCSS descriptors and retires all three; served from the
-// pools above, that is a cmpxchg16b on a process-wide head each way, so
-// threads DCASing disjoint words still serialise on the allocator. Each
-// ThreadRegistry slot therefore owns one cache line holding a LIFO free
-// list per descriptor kind, threaded through the free descriptors
-// themselves. Allocation pops the caller's list before falling back to
-// the pool and then the heap; the post-grace dispose pushes onto the list
-// of the slot that retired the descriptor, passed as the EBR deleter
-// context, whatever the descriptor's origin.
-//
-// Keeping heap descriptors too is what makes the lists steady. While a
-// thread pinned at an older epoch (one descheduled mid-DCAS, say) holds
-// the global epoch back, every other thread's descriptors pile up in
-// limbo, its list runs dry and it allocates afresh; when the epoch moves,
-// the whole pile comes back to its list. A list that kept only a few dozen
-// would hand the rest back to the shared pool or the heap and pay for them
-// again at the next stall, so throughput would follow how often threads
-// happen to be descheduled. A list instead keeps up to kDescCacheCap of
-// each kind, so it grows to its thread's largest stall and then serves
-// every later one; only the excess goes back to where it came from. It
-// never holds more than its slot's limbo held at some point.
-//
-// Ownership: a slot's lists are touched only by the slot's owner. The
-// allocation side runs on the owner by construction. The dispose side runs
-// inside EbrDomain::drain of the retiring slot, which only that slot's
-// owner calls (from retire/collect), or on the single thread running the
-// domain destructor at exit. A recycled slot passes its lists to the next
-// owner through ThreadRegistry's release/acquire on the slot flag.
-constexpr std::size_t kDescCacheCap = 1 << 16;
-
-struct FreeDesc {
-  FreeDesc* next;
-  bool pooled;  // storage origin of the descriptor this node overlays
-};
-
-struct DescList {
-  FreeDesc* head = nullptr;
-  std::size_t count = 0;
-};
-
-struct alignas(util::kCacheLineSize) DescCache {
-  DescList mcas;
-  DescList rdcss;
-};
-
-// Zero-initialised static storage with a trivial destructor, so the lists
-// stay valid through the global domain's force-drain at process exit.
-DescCache g_desc_cache[util::ThreadRegistry::kMaxThreads];
-
-// The calling thread's cache. A thread's registry slot is stable for its
-// lifetime, so the out-of-line self() call is paid once per thread.
-DescCache& my_desc_cache() {
-  static thread_local DescCache* cache = nullptr;
-  if (cache == nullptr) cache = &g_desc_cache[util::ThreadRegistry::self()];
-  return *cache;
-}
-
-// Storage for one descriptor: the list's head, else a pool node, else
-// nullptr (the caller then uses the heap). `pooled` reports the origin.
-// DCD_GUARD_EXEMPT(owner-only list; its descriptors were freed after their grace period)
-void* cache_pop(DescList& list, reclaim::TaggedNodePool& pool, bool& pooled) {
-  if (FreeDesc* fd = list.head) {
-    list.head = fd->next;
-    --list.count;
-    pooled = fd->pooled;
-    return fd;
+Self self() {
+  // A thread's registry slot is stable for its lifetime.
+  thread_local std::size_t slot = util::ThreadRegistry::kMaxThreads;
+  if (slot == util::ThreadRegistry::kMaxThreads) {
+    slot = util::ThreadRegistry::self();
   }
-  pooled = true;
-  return pool.allocate();
+  return {slot, Telemetry::tl()};
 }
 
-// False when the list is full; the caller then returns the descriptor to
-// its origin.
-// DCD_GUARD_EXEMPT(post-grace EBR callback on the owner's list; the descriptor is exclusively owned here)
-bool cache_push(DescList& list, void* p, bool pooled) {
-  if (list.count == kDescCacheCap) return false;
-  FreeDesc* const next = list.head;
-  list.head = new (p) FreeDesc{next, pooled};
-  ++list.count;
-  return true;
+// Seqlock write side, owner only: marks the descriptor as being rewritten
+// and returns the sequence number its next publication carries.
+std::uint64_t begin_write(std::atomic<std::uint64_t>& seq) {
+  const std::uint64_t s = seq.load(std::memory_order_relaxed);
+  seq.store(s + 1, std::memory_order_relaxed);
+  // DCD_HB(mcas.desc.publish, role=fence-release)
+  std::atomic_thread_fence(std::memory_order_release);
+  return next_seq(s);
 }
 
-// DCD_REQUIRES_GUARD(descriptor is handed out raw; the pinned entry point's guard covers it until retire)
-McasDesc* alloc_mcas_desc(DescCache& cache) {
-  ++Telemetry::tl().descriptors;
-  bool pooled;
-  if (void* raw = cache_pop(cache.mcas, mcas_desc_pool(), pooled)) {
-    auto* d = new (raw) McasDesc;
-    d->pooled = pooled;
-    return d;
-  }
-  auto* d = new McasDesc;
-  d->pooled = false;
-  return d;
+// Reads an RDCSS descriptor's fields for a reference loaded (acquire) from
+// a word. False when the reference is stale: its owner has finished that
+// RDCSS, so the reference has left the word for good.
+bool read_rdcss(std::uint64_t ref, std::uint64_t& oldv, std::uint64_t& mref) {
+  const RdcssDesc& d = g_rdcss[slot_of(ref)];
+  oldv = d.oldv.load(std::memory_order_relaxed);
+  mref = d.mref.load(std::memory_order_relaxed);
+  // DCD_HB(mcas.desc.publish, role=fence-acquire)
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return d.seq.load(std::memory_order_relaxed) == seq_of(ref);
 }
 
-// DCD_REQUIRES_GUARD(descriptor is handed out raw; the pinned entry point's guard covers it until retire)
-RdcssDesc* alloc_rdcss_desc(DescCache& cache,
-                            std::atomic<std::uint64_t>* cond, Word* data,
-                            std::uint64_t oldv, std::uint64_t newv) {
-  ++Telemetry::tl().descriptors;
-  bool pooled;
-  if (void* raw = cache_pop(cache.rdcss, rdcss_desc_pool(), pooled)) {
-    return new (raw) RdcssDesc{cond, data, oldv, newv, pooled};
-  }
-  return new RdcssDesc{cond, data, oldv, newv, false};
-}
-
-// ctx is the retiring slot's DescCache. A descriptor the full list cannot
-// take goes back to where it came from.
-// DCD_GUARD_EXEMPT(post-grace EBR callback; the descriptor is exclusively owned here)
-void dispose_mcas_desc(void* p, void* ctx) {
-  auto* d = static_cast<McasDesc*>(p);
-  const bool pooled = d->pooled;
-  d->~McasDesc();
-  if (cache_push(static_cast<DescCache*>(ctx)->mcas, d, pooled)) return;
-  if (pooled) {
-    mcas_desc_pool().deallocate(d);
-  } else {
-    ::operator delete(d, std::align_val_t{alignof(McasDesc)});
-  }
-}
-
-// ctx is the retiring slot's DescCache, as above.
-// DCD_GUARD_EXEMPT(post-grace EBR callback; the descriptor is exclusively owned here)
-void dispose_rdcss_desc(void* p, void* ctx) {
-  auto* d = static_cast<RdcssDesc*>(p);
-  const bool pooled = d->pooled;
-  d->~RdcssDesc();
-  if (cache_push(static_cast<DescCache*>(ctx)->rdcss, d, pooled)) return;
-  if (pooled) {
-    rdcss_desc_pool().deallocate(d);
-  } else {
-    ::operator delete(d, std::align_val_t{alignof(RdcssDesc)});
-  }
-}
-
-std::uint64_t mark(RdcssDesc* d) {
-  return reinterpret_cast<std::uint64_t>(d) | kRdcssMark;
-}
-std::uint64_t mark(McasDesc* d) {
-  return reinterpret_cast<std::uint64_t>(d) | kMcasMark;
-}
-RdcssDesc* rdcss_of(std::uint64_t v) {
-  return reinterpret_cast<RdcssDesc*>(v & ~kMarkBits);
-}
-McasDesc* mcas_of(std::uint64_t v) {
-  return reinterpret_cast<McasDesc*>(v & ~kMarkBits);
-}
-
-// Finishes an installed RDCSS: replace the sub-descriptor mark with either
-// the MCAS mark (condition still UNDECIDED) or the original value.
-// DCD_REQUIRES_GUARD(caller is pinned in the global EBR domain by the load/dcas/casn entry guard)
-void rdcss_complete(RdcssDesc* d) {
-  const std::uint64_t cond = d->cond->load(std::memory_order_acquire);
-  std::uint64_t expected = mark(d);
-  const std::uint64_t replacement = (cond == kUndecided) ? d->newv : d->oldv;
+// Finishes an RDCSS installed in w: the MCAS reference goes in only if the
+// whole status word still reads (seq, UNDECIDED), otherwise the old value
+// goes back. A decided or reused descriptor fails that test alike.
+void rdcss_complete(Word& w, std::uint64_t ref, std::uint64_t oldv,
+                    std::uint64_t mref, Counters& c) {
+  const McasDesc& owner = g_mcas[slot_of(mref)];
+  // DCD_HB(mcas.status.decide, role=acquire)
+  const std::uint64_t state = owner.state.load(std::memory_order_acquire);
+  const std::uint64_t replacement =
+      state == make_state(seq_of(mref), kUndecided) ? mref : oldv;
+  std::uint64_t expected = ref;
   // DCD_SYNC(policy-internal)
-  d->data->raw.compare_exchange_strong(expected, replacement,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed);
-  ++Telemetry::tl().cas_ops;
+  w.raw.compare_exchange_strong(expected, replacement,
+                                std::memory_order_acq_rel,
+                                std::memory_order_relaxed);
+  ++c.cas_ops;
 }
 
-// The RDCSS operation itself. Returns the value logically read from *data:
-// d->oldv on success, otherwise the conflicting content (a clean value or
-// an mcas-marked word; rdcss marks are resolved internally).
-// DCD_REQUIRES_GUARD(caller is pinned in the global EBR domain by the load/dcas/casn entry guard)
-std::uint64_t rdcss(RdcssDesc* d) {
+// Helps the RDCSS whose reference was loaded (acquire) from w. Returns the
+// MCAS reference it carried, or 0 if it had already left w.
+std::uint64_t help_rdcss(Word& w, std::uint64_t ref, Counters& c) {
+  std::uint64_t oldv, mref;
+  if (!read_rdcss(ref, oldv, mref)) return 0;
+  rdcss_complete(w, ref, oldv, mref, c);
+  return mref;
+}
+
+// The RDCSS operation itself, on the caller's own RDCSS descriptor.
+// Returns the value logically read from w: oldv on success, otherwise the
+// conflicting content (a clean value or an MCAS reference; RDCSS
+// references are resolved internally).
+std::uint64_t rdcss(Word& w, std::uint64_t oldv, std::uint64_t mref,
+                    const Self& me) {
+  RdcssDesc& d = g_rdcss[me.slot];
+  ++me.c.descriptors;
+  const std::uint64_t seq = begin_write(d.seq);
+  d.oldv.store(oldv, std::memory_order_relaxed);
+  d.mref.store(mref, std::memory_order_relaxed);
+  // DCD_HB(mcas.desc.publish, role=release)
+  d.seq.store(seq, std::memory_order_release);
+  const std::uint64_t ref = make_ref(seq, me.slot, kRdcssMark);
   // DCD_PROGRESS(CAS failure means another thread's install or help committed; conflicting rdcss marks are resolved before retrying)
   for (;;) {
-    std::uint64_t expected = d->oldv;
-    ++Telemetry::tl().cas_ops;
+    std::uint64_t expected = oldv;
+    ++me.c.cas_ops;
     // DCD_SYNC(policy-internal)
-    if (d->data->raw.compare_exchange_strong(expected, mark(d),
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-      rdcss_complete(d);
-      return d->oldv;
+    if (w.raw.compare_exchange_strong(expected, ref,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      rdcss_complete(w, ref, oldv, mref, me.c);
+      return oldv;
     }
-    if (is_rdcss(expected)) {
-      rdcss_complete(rdcss_of(expected));
-      continue;
-    }
-    return expected;
+    if (!is_rdcss(expected)) return expected;
+    help_rdcss(w, expected, me.c);
   }
 }
 
+void help_mcas(std::uint64_t ref, const Self& me);
+
 // Runs an MCAS to completion (owner and helpers execute the same code).
-// Caller must be pinned in the global EBR domain.
-// DCD_REQUIRES_GUARD(caller is pinned in the global EBR domain by the dcas/casn entry guard)
-bool mcas_help(McasDesc* d) {
+bool mcas_help(const Op& op, const Self& me) {
+  McasDesc& d = g_mcas[slot_of(op.ref)];
+  const std::uint64_t seq = seq_of(op.ref);
   // DCD_HB(mcas.status.decide, role=acquire)
-  if (d->status.load(std::memory_order_acquire) == kUndecided) {
-    // Phase 1: install the descriptor in both words (ascending address
-    // order — established at creation — so concurrent MCASes cannot
+  if (d.state.load(std::memory_order_acquire) ==
+      make_state(seq, kUndecided)) {
+    // Phase 1: install the reference in every word (ascending address
+    // order, established by the owner, so concurrent MCASes cannot
     // livelock each other).
-    DescCache& cache = my_desc_cache();
     std::uint64_t desired = kSucceeded;
-    for (std::size_t i = 0; i < d->width && desired == kSucceeded; ++i) {
+    for (std::size_t i = 0; i < op.width && desired == kSucceeded; ++i) {
+      // DCD_PROGRESS(each retry first helps the conflicting MCAS to completion, or finds it already finished)
       for (;;) {
-        auto* rd = alloc_rdcss_desc(cache, &d->status, d->addr[i],
-                                    d->oldv[i], mark(d));
-        const std::uint64_t r = rdcss(rd);
-        reclaim::global_ebr_domain().retire(rd, dispose_rdcss_desc, &cache);
+        const std::uint64_t r = rdcss(*op.addr[i], op.oldv[i], op.ref, me);
         if (is_mcas(r)) {
-          if (r == mark(d)) break;  // a helper already installed for us
-          ++Telemetry::tl().helps;
-          mcas_help(mcas_of(r));  // clear the conflicting operation first
+          if (r == op.ref) break;  // a helper already installed for us
+          ++me.c.helps;
+          help_mcas(r, me);  // clear the conflicting operation first
           continue;
         }
-        if (r == d->oldv[i]) break;  // installed by the rdcss above
+        if (r == op.oldv[i]) break;  // installed by the rdcss above
         desired = kFailed;           // genuine value mismatch
         break;
       }
     }
-    std::uint64_t expected = kUndecided;
+    std::uint64_t expected = make_state(seq, kUndecided);
     // DCD_SYNC(policy-internal)
     // DCD_HB(mcas.status.decide, role=release)
-    d->status.compare_exchange_strong(expected, desired,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_acquire);
-    ++Telemetry::tl().cas_ops;
+    d.state.compare_exchange_strong(expected, make_state(seq, desired),
+                                    std::memory_order_acq_rel,
+                                    std::memory_order_acquire);
+    ++me.c.cas_ops;
   }
 
-  // Phase 2: swap the marks for the outcome's values. Idempotent; any
-  // subset of owner/helpers may execute it.
-  const bool ok = d->status.load(std::memory_order_acquire) == kSucceeded;
-  for (std::size_t i = 0; i < d->width; ++i) {
-    std::uint64_t expected = mark(d);
-    // DCD_SYNC(policy-internal)
-    d->addr[i]->raw.compare_exchange_strong(
-        expected, ok ? d->newv[i] : d->oldv[i], std::memory_order_acq_rel,
-        std::memory_order_relaxed);
-    ++Telemetry::tl().cas_ops;
+  // Phase 2: swap the reference for the outcome's values. Idempotent; any
+  // subset of owner/helpers may execute it. A helper that finds the
+  // descriptor reused stops: the owner has already cleaned every word.
+  // DCD_HB(mcas.status.decide, role=acquire)
+  const std::uint64_t state = d.state.load(std::memory_order_acquire);
+  if (state_seq(state) != seq) return false;
+  const bool ok = state == make_state(seq, kSucceeded);
+  for (std::size_t i = 0; i < op.width; ++i) {
+    Word& w = *op.addr[i];
+    // An RDCSS that read UNDECIDED before the decision may still be about
+    // to install the reference here (after a FAILED outcome this word may
+    // hold oldv again). Backing it out now, while the status is decided,
+    // keeps the reference out of every word once the owner returns.
+    // DCD_PROGRESS(a retry follows an RDCSS of this operation leaving the word; each is removed at most once and none can start after the decision)
+    for (;;) {
+      std::uint64_t expected = op.ref;
+      ++me.c.cas_ops;
+      // DCD_SYNC(policy-internal)
+      if (w.raw.compare_exchange_strong(expected,
+                                        ok ? op.newv[i] : op.oldv[i],
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+        break;
+      }
+      if (!is_rdcss(expected)) break;
+      const std::uint64_t m = help_rdcss(w, expected, me.c);
+      if (m != 0 && m != op.ref) break;
+    }
   }
+  return ok;
+}
+
+// Helps the MCAS whose reference was loaded (acquire) from a word. A stale
+// reference means the operation finished: the caller re-reads the word.
+void help_mcas(std::uint64_t ref, const Self& me) {
+  const McasDesc& d = g_mcas[slot_of(ref)];
+  Op op;
+  op.ref = ref;
+  op.width = std::min(d.width.load(std::memory_order_relaxed),
+                      McasDcas::kMaxCasnWidth);
+  for (std::size_t i = 0; i < op.width; ++i) {
+    op.addr[i] = d.addr[i].load(std::memory_order_relaxed);
+    op.oldv[i] = d.oldv[i].load(std::memory_order_relaxed);
+    op.newv[i] = d.newv[i].load(std::memory_order_relaxed);
+  }
+  // DCD_HB(mcas.desc.publish, role=fence-acquire)
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (d.seq.load(std::memory_order_relaxed) != seq_of(ref)) return;
+  mcas_help(op, me);
+}
+
+// Publishes op (addresses already in ascending order) in the caller's MCAS
+// descriptor and runs it.
+bool run_owned(Op& op, const Self& me) {
+  McasDesc& d = g_mcas[me.slot];
+  ++me.c.descriptors;
+  const std::uint64_t seq = begin_write(d.seq);
+  d.width.store(op.width, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < op.width; ++i) {
+    d.addr[i].store(op.addr[i], std::memory_order_relaxed);
+    d.oldv[i].store(op.oldv[i], std::memory_order_relaxed);
+    d.newv[i].store(op.newv[i], std::memory_order_relaxed);
+  }
+  d.state.store(make_state(seq, kUndecided), std::memory_order_relaxed);
+  // DCD_HB(mcas.desc.publish, role=release)
+  d.seq.store(seq, std::memory_order_release);
+  op.ref = make_ref(seq, me.slot, kMcasMark);
+  const bool ok = mcas_help(op, me);
+  if (!ok) ++me.c.dcas_failures;
   return ok;
 }
 
 }  // namespace
 
 std::uint64_t McasDcas::load(const Word& w) noexcept {
-  ++Telemetry::tl().loads;
-  std::uint64_t v = w.raw.load(std::memory_order_acquire);
-  if (!is_marked(v)) return v;
-
-  // Slow path: pin first, then re-read, so the descriptor we dereference
-  // cannot be reclaimed under us.
-  reclaim::EbrDomain::Guard guard(reclaim::global_ebr_domain());
+  Counters& c = Telemetry::tl();
+  ++c.loads;
   auto& word = const_cast<Word&>(w);
+  // DCD_PROGRESS(every marked read helps that descriptor to completion, or finds it finished and gone from the word)
   for (;;) {
-    v = word.raw.load(std::memory_order_acquire);
+    const std::uint64_t v = word.raw.load(std::memory_order_acquire);
     if (!is_marked(v)) return v;
-    ++Telemetry::tl().helps;
+    ++c.helps;
     if (is_rdcss(v)) {
-      rdcss_complete(rdcss_of(v));
+      help_rdcss(word, v, c);
     } else {
-      mcas_help(mcas_of(v));
+      help_mcas(v, self());
     }
   }
 }
@@ -355,61 +346,49 @@ bool McasDcas::dcas(Word& a, Word& b, std::uint64_t oa, std::uint64_t ob,
   DCD_ASSERT(&a != &b);
   DCD_DEBUG_ASSERT(!is_marked(oa) && !is_marked(ob) && !is_marked(na) &&
                    !is_marked(nb));
-  auto& c = Telemetry::tl();
-  ++c.dcas_calls;
-
-  reclaim::EbrDomain::Guard guard(reclaim::global_ebr_domain());
-  DescCache& cache = my_desc_cache();
-  auto* d = alloc_mcas_desc(cache);
-  d->width = 2;
+  const Self me = self();
+  ++me.c.dcas_calls;
+  Op op;
+  op.width = 2;
   // Ascending address order (see mcas_help).
   if (&a < &b) {
-    d->addr[0] = &a; d->addr[1] = &b;
-    d->oldv[0] = oa; d->oldv[1] = ob;
-    d->newv[0] = na; d->newv[1] = nb;
+    op.addr[0] = &a; op.addr[1] = &b;
+    op.oldv[0] = oa; op.oldv[1] = ob;
+    op.newv[0] = na; op.newv[1] = nb;
   } else {
-    d->addr[0] = &b; d->addr[1] = &a;
-    d->oldv[0] = ob; d->oldv[1] = oa;
-    d->newv[0] = nb; d->newv[1] = na;
+    op.addr[0] = &b; op.addr[1] = &a;
+    op.oldv[0] = ob; op.oldv[1] = oa;
+    op.newv[0] = nb; op.newv[1] = na;
   }
-  const bool ok = mcas_help(d);
-  reclaim::global_ebr_domain().retire(d, dispose_mcas_desc, &cache);
-  if (!ok) ++c.dcas_failures;
-  return ok;
+  return run_owned(op, me);
 }
 
 bool McasDcas::casn(Word* const* addrs, const std::uint64_t* olds,
                     const std::uint64_t* news, std::size_t n) noexcept {
   DCD_ASSERT(n >= 1 && n <= kMaxCasnWidth);
-  auto& c = Telemetry::tl();
-  ++c.dcas_calls;
-
-  reclaim::EbrDomain::Guard guard(reclaim::global_ebr_domain());
-  DescCache& cache = my_desc_cache();
-  auto* d = alloc_mcas_desc(cache);
-  d->width = n;
+  const Self me = self();
+  ++me.c.dcas_calls;
+  Op op;
+  op.width = n;
   for (std::size_t i = 0; i < n; ++i) {
-    d->addr[i] = addrs[i];
-    d->oldv[i] = olds[i];
-    d->newv[i] = news[i];
+    op.addr[i] = addrs[i];
+    op.oldv[i] = olds[i];
+    op.newv[i] = news[i];
     DCD_DEBUG_ASSERT(!is_marked(olds[i]) && !is_marked(news[i]));
   }
   // Ascending address order (livelock freedom); distinct addresses
   // required, as with dcas.
   for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t j = i; j > 0 && d->addr[j] < d->addr[j - 1]; --j) {
-      std::swap(d->addr[j], d->addr[j - 1]);
-      std::swap(d->oldv[j], d->oldv[j - 1]);
-      std::swap(d->newv[j], d->newv[j - 1]);
+    for (std::size_t j = i; j > 0 && op.addr[j] < op.addr[j - 1]; --j) {
+      std::swap(op.addr[j], op.addr[j - 1]);
+      std::swap(op.oldv[j], op.oldv[j - 1]);
+      std::swap(op.newv[j], op.newv[j - 1]);
     }
   }
   for (std::size_t i = 1; i < n; ++i) {
-    DCD_ASSERT(d->addr[i] != d->addr[i - 1]);
+    DCD_ASSERT(op.addr[i] != op.addr[i - 1]);
   }
-  const bool ok = mcas_help(d);
-  reclaim::global_ebr_domain().retire(d, dispose_mcas_desc, &cache);
-  if (!ok) ++c.dcas_failures;
-  return ok;
+  return run_owned(op, me);
 }
 
 void McasDcas::snapshot(Word& a, Word& b, std::uint64_t& va,

@@ -348,7 +348,7 @@ class Executor {
     detail::tl_worker = &w;
     detail::tl_executor = this;
     // Claim the process-wide dense id up front: the deque's reclamation
-    // (EBR pins, MCAS descriptor pools) keys on it, and claiming it here
+    // (EBR pins, MCAS descriptors) keys on it, and claiming it here
     // keeps slot churn out of the steady state.
     (void)util::ThreadRegistry::self();
     for (;;) {

@@ -41,14 +41,22 @@ std::string Scenario::describe() const {
                   "(cap=" + std::to_string(capacity) + ")";
   if (!setup.empty()) {
     s += " setup";
-    for (const ScenarioOp& op : setup) s += " " + format_op(op);
+    for (const ScenarioOp& op : setup) {
+      s += ' ';
+      s += format_op(op);
+    }
   }
   for (std::size_t t = 0; t < threads.size(); ++t) {
-    s += " | t" + std::to_string(t);
-    for (const ScenarioOp& op : threads[t]) s += " " + format_op(op);
+    s += " | t";
+    s += std::to_string(t);
+    for (const ScenarioOp& op : threads[t]) {
+      s += ' ';
+      s += format_op(op);
+    }
   }
   if (mutation != Mutation::kNone) {
-    s += " | mutation=" + std::string(mutation_name(mutation));
+    s += " | mutation=";
+    s += mutation_name(mutation);
   }
   return s;
 }
@@ -56,7 +64,9 @@ std::string Scenario::describe() const {
 std::string format_op(const ScenarioOp& op) {
   std::string s = op_name(op.type);
   if (op.type == OpType::kPushRight || op.type == OpType::kPushLeft) {
-    s += "(" + std::to_string(op.arg) + ")";
+    s += '(';
+    s += std::to_string(op.arg);
+    s += ')';
   }
   return s;
 }

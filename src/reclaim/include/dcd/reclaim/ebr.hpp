@@ -9,9 +9,7 @@
 //
 // Usage contract:
 //   * Every operation that reads shared pointers holds a Guard for its whole
-//     duration. Guards are reentrant per thread (the MCAS engine pins its
-//     own domain inside deque operations that already hold a guard on
-//     another domain; both patterns are safe).
+//     duration. Guards are reentrant per thread.
 //   * retire() is called only after the object is unreachable from shared
 //     memory (i.e. after the unlinking DCAS succeeded).
 //   * The domain destructor frees everything still retired; the caller must
@@ -137,8 +135,5 @@ class EbrDomain {
   util::CacheAligned<std::atomic<std::uint64_t>> global_epoch_;
   util::CacheAligned<SlotState> slots_[util::ThreadRegistry::kMaxThreads];
 };
-
-// Process-wide default domain (used by the MCAS engine's descriptors).
-EbrDomain& global_ebr_domain();
 
 }  // namespace dcd::reclaim

@@ -8,7 +8,7 @@
 //   1. type-stability: freed storage stays mapped and is only ever reused
 //      for the same node type, so the stale read returns a harmless word
 //      (in particular never a value with the descriptor bit set, which
-//      would send the MCAS engine chasing a garbage pointer);
+//      would send the MCAS engine helping a descriptor that is not there);
 //   2. an ABA-proof free list: pushes happen at arbitrary times (no EBR
 //      deferral is possible), so the Treiber head carries a version tag
 //      updated with a double-width CAS (cmpxchg16b). On non-x86-64 targets

@@ -135,9 +135,4 @@ std::uint64_t EbrDomain::freed_count() const {
   return total;
 }
 
-EbrDomain& global_ebr_domain() {
-  static EbrDomain domain;
-  return domain;
-}
-
 }  // namespace dcd::reclaim

@@ -1,6 +1,6 @@
 // Process-wide small-integer thread identities.
 //
-// The EBR reclamation domain and the MCAS descriptor pools need a dense
+// The EBR reclamation domain and the MCAS descriptors need a dense
 // per-thread slot index. A thread claims a slot the first time it calls
 // ThreadRegistry::self() and releases it automatically at thread exit, so
 // short-lived test threads recycle slots instead of exhausting them.

@@ -20,21 +20,30 @@ const char* op_name(OpType t) {
 std::string Operation::describe() const {
   std::string s = op_name(type);
   if (type == OpType::kPushRight || type == OpType::kPushLeft) {
-    s += "(" + std::to_string(arg) + ") -> ";
+    s += '(';
+    s += std::to_string(arg);
+    s += ") -> ";
     s += push_ok ? "okay" : "full";
   } else {
     s += "() -> ";
     s += pop_has_value ? std::to_string(pop_value) : "empty";
   }
-  s += " [" + std::to_string(invoke_seq) + "," +
-       std::to_string(response_seq) + "]";
+  s += " [";
+  s += std::to_string(invoke_seq);
+  s += ',';
+  s += std::to_string(response_seq);
+  s += ']';
   return s;
 }
 
 std::string History::describe() const {
   std::string s;
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    s += "  #" + std::to_string(i) + " " + ops[i].describe() + "\n";
+    s += "  #";
+    s += std::to_string(i);
+    s += ' ';
+    s += ops[i].describe();
+    s += '\n';
   }
   return s;
 }

@@ -1,17 +1,30 @@
 // McasDcas-specific behaviour: descriptor stripping, helping, snapshots,
-// and lock-freedom under a stalled writer.
+// descriptor reuse, and lock-freedom under a stalled writer.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
 #include "dcd/dcas/mcas.hpp"
 #include "dcd/dcas/telemetry.hpp"
-#include "dcd/reclaim/ebr.hpp"
 #include "dcd/util/barrier.hpp"
 #include "dcd/util/rng.hpp"
 #include "dcd/util/thread_registry.hpp"
+
+// Heap allocations made by the calling thread, counted by this binary's
+// replacement operator new.
+thread_local std::uint64_t t_heap_allocs = 0;
+
+void* operator new(std::size_t n) {
+  ++t_heap_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -94,25 +107,127 @@ TEST(Mcas, HelpersCompleteAStalledOperation) {
   EXPECT_EQ(McasDcas::load(b), val(kThreads * kIters));
 }
 
-TEST(Mcas, DescriptorsAreReclaimed) {
-  // Exited threads from other tests may have stranded retired descriptors
-  // in their (now unowned) slots, so measure this thread's *delta*: our
-  // own retires must drain once we quiesce and collect.
-  auto& domain = dcd::reclaim::global_ebr_domain();
-  domain.collect();
-  const std::uint64_t base = domain.pending_count();
-  Word a(val(0)), b(val(0));
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t va = McasDcas::load(a);
-    const std::uint64_t vb = McasDcas::load(b);
-    ASSERT_TRUE(McasDcas::dcas(a, b, va, vb, val(i + 1), val(i + 1)));
+TEST(Mcas, DescriptorsAreReusedWithoutAllocation) {
+  // Each registry slot owns one MCAS and one RDCSS descriptor for life, so
+  // no DCAS or CASN, failing or not, allocates; each initialises exactly
+  // the descriptors it uses; and no word keeps a mark once it returns.
+  Word a(val(0)), b(val(0)), c(val(0));
+  Word* abc[] = {&a, &b, &c};
+  ASSERT_TRUE(McasDcas::dcas(a, b, val(0), val(0), val(1), val(1)));
+  Telemetry::reset();
+  const std::uint64_t allocs_before = t_heap_allocs;
+  constexpr int kIters = 5000;
+  int wrong = 0;
+  int marked = 0;
+  for (int i = 1; i <= kIters; ++i) {
+    const std::uint64_t v = val(i), next = val(i + 1);
+    // Succeeds: 1 MCAS + 2 RDCSS descriptors.
+    if (!McasDcas::dcas(a, b, v, v, next, next)) ++wrong;
+    // Fails on its first word: 1 MCAS + 1 RDCSS descriptor.
+    if (McasDcas::dcas(a, b, v, v, val(0), val(0))) ++wrong;
+    // Succeeds: 1 MCAS + 3 RDCSS descriptors.
+    std::uint64_t olds[] = {next, next, val(i - 1)};
+    std::uint64_t news[] = {next, next, val(i)};
+    if (!McasDcas::casn(abc, olds, news, 3)) ++wrong;
+    for (const Word* w : abc) {
+      if (is_descriptor(w->raw.load(std::memory_order_relaxed))) ++marked;
+    }
   }
-  domain.collect();
-  domain.collect();
-  domain.collect();
-  const std::uint64_t now = domain.pending_count();
-  // Allow a small tail for the last drain batch.
-  EXPECT_LT(now, base + 512) << "own descriptors not reclaimed";
+  const std::uint64_t allocs = t_heap_allocs - allocs_before;
+  EXPECT_EQ(allocs, 0u) << "the MCAS path allocated";
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(marked, 0) << "a returned operation left its reference behind";
+  const Counters ctr = Telemetry::snapshot();
+  EXPECT_EQ(ctr.dcas_calls, 3u * kIters);
+  EXPECT_EQ(ctr.dcas_failures, 1u * kIters);
+  EXPECT_EQ(ctr.descriptors, 9u * kIters);
+  EXPECT_EQ(ctr.helps, 0u);
+}
+
+TEST(Mcas, ReusedDescriptorsUnderOversubscription) {
+  // More threads than cores on three shared words, mixing DCAS transfers,
+  // 3-word CASN transfers and pair snapshots, so operations are preempted
+  // mid-flight, helped, and their descriptors reused while stale helpers
+  // still hold references. Transfers conserve the sum exactly; a 3-word
+  // identity CASN is an atomic snapshot that must see that sum too.
+  Telemetry::reset();
+  constexpr int kThreads = 8;
+  constexpr int kIters = 4000;
+  constexpr std::uint64_t kStart = 1000;
+  constexpr std::uint64_t kTotal = 3 * kStart;
+  Word w[3];
+  for (auto& x : w) McasDcas::store_init(x, val(kStart));
+  dcd::util::SpinBarrier barrier(kThreads);
+  std::atomic<int> torn{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      dcd::util::Xoshiro256 rng(t + 11);
+      barrier.arrive_and_wait();
+      for (int i = 0; i < kIters; ++i) {
+        const std::size_t from = rng.below(3);
+        const std::size_t to = (from + 1 + rng.below(2)) % 3;
+        const std::size_t other = 3 - from - to;
+        switch (rng.below(3)) {
+          case 0: {  // move one unit between two words
+            for (;;) {
+              const std::uint64_t vf = decode_payload(McasDcas::load(w[from]));
+              const std::uint64_t vt = decode_payload(McasDcas::load(w[to]));
+              if (vf == 0) break;
+              if (McasDcas::dcas(w[from], w[to], val(vf), val(vt),
+                                 val(vf - 1), val(vt + 1))) {
+                break;
+              }
+            }
+            break;
+          }
+          case 1: {  // move two units: one each to the other two words
+            Word* addrs[] = {&w[from], &w[to], &w[other]};
+            for (;;) {
+              std::uint64_t olds[3], news[3];
+              for (int k = 0; k < 3; ++k) olds[k] = McasDcas::load(*addrs[k]);
+              const std::uint64_t vf = decode_payload(olds[0]);
+              if (vf < 2) break;
+              news[0] = val(vf - 2);
+              news[1] = val(decode_payload(olds[1]) + 1);
+              news[2] = val(decode_payload(olds[2]) + 1);
+              if (McasDcas::casn(addrs, olds, news, 3)) break;
+            }
+            break;
+          }
+          default: {  // pair snapshot, then an atomic triple
+            std::uint64_t va = 0, vb = 0;
+            McasDcas::snapshot(w[from], w[to], va, vb);
+            if (decode_payload(va) + decode_payload(vb) > kTotal) {
+              torn.fetch_add(1);
+            }
+            Word* addrs[] = {&w[0], &w[1], &w[2]};
+            for (;;) {
+              std::uint64_t olds[3];
+              for (int k = 0; k < 3; ++k) olds[k] = McasDcas::load(*addrs[k]);
+              if (!McasDcas::casn(addrs, olds, olds, 3)) continue;
+              if (decode_payload(olds[0]) + decode_payload(olds[1]) +
+                      decode_payload(olds[2]) != kTotal) {
+                torn.fetch_add(1);
+              }
+              break;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(torn.load(), 0);
+  std::uint64_t sum = 0;
+  for (auto& x : w) {
+    const std::uint64_t raw = x.raw.load(std::memory_order_relaxed);
+    EXPECT_FALSE(is_descriptor(raw)) << "a finished operation left a mark";
+    sum += decode_payload(McasDcas::load(x));
+  }
+  EXPECT_EQ(sum, kTotal);
+  EXPECT_GT(Telemetry::snapshot().helps, 0u)
+      << "no operation was ever helped; the stress did not contend";
 }
 
 TEST(Mcas, ManyWordsManyThreadsNoLostUpdates) {
@@ -165,10 +280,12 @@ TEST(Mcas, ViewFormRetriesTransientFailures) {
 
 TEST(McasDescriptorCache, SurvivesRegistrySlotRecycling) {
   // More threads over the test's life than ThreadRegistry::kMaxThreads, at
-  // most kLive at once, so registry slots (and the per-slot descriptor
-  // caches) pass from exited threads to new ones along with the limbo
-  // those threads left behind. Each thread DCASes a private pair, which
-  // only its own cache serves, and one pair shared with everyone.
+  // most kLive at once, so registry slots, and the descriptors they own,
+  // pass from exited threads to new ones. A new owner must continue its
+  // descriptors' sequence numbers, or a reference of the old owner's that
+  // a stale helper still holds could match again. Each thread DCASes a
+  // private pair, which no other thread helps, and one pair shared with
+  // everyone; neither may keep a mark once the operations return.
   constexpr int kLive = 4;
   constexpr int kWaves =
       static_cast<int>(dcd::util::ThreadRegistry::kMaxThreads) / kLive + 8;
@@ -195,7 +312,9 @@ TEST(McasDescriptorCache, SurvivesRegistrySlotRecycling) {
           }
         }
         if (McasDcas::load(a) != val(kBurst) ||
-            McasDcas::load(b) != val(kBurst)) {
+            McasDcas::load(b) != val(kBurst) ||
+            is_descriptor(a.raw.load(std::memory_order_relaxed)) ||
+            is_descriptor(b.raw.load(std::memory_order_relaxed))) {
           bad.fetch_add(1);
         }
       });
@@ -206,18 +325,8 @@ TEST(McasDescriptorCache, SurvivesRegistrySlotRecycling) {
   constexpr std::uint64_t kTotal = std::uint64_t{kWaves} * kLive * kBurst;
   EXPECT_EQ(McasDcas::load(shared_a), val(kTotal));
   EXPECT_EQ(McasDcas::load(shared_b), val(kTotal));
-
-  // This thread's own limbo still drains into its cache afterwards.
-  auto& domain = dcd::reclaim::global_ebr_domain();
-  domain.collect();
-  const std::uint64_t base = domain.pending_count();
-  Word a(val(0)), b(val(0));
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(McasDcas::dcas(a, b, val(i), val(i), val(i + 1), val(i + 1)));
-  }
-  for (int i = 0; i < 3; ++i) domain.collect();
-  EXPECT_LT(domain.pending_count(), base + 512)
-      << "own descriptors not reclaimed";
+  EXPECT_FALSE(is_descriptor(shared_a.raw.load(std::memory_order_relaxed)));
+  EXPECT_FALSE(is_descriptor(shared_b.raw.load(std::memory_order_relaxed)));
 }
 
 }  // namespace
