@@ -20,7 +20,13 @@
 // proofs in this repo:
 //   * deque transfer   — the push's publishing DCAS / release store is the
 //     linearization point (PROOF_MAP rows for the deques); a task's plain
-//     fn/args writes precede the push and are collected by the pop.
+//     fn/args writes precede the push and are collected by the pop. The
+//     last child a task forks skips the deque: it waits in the worker's
+//     owner-only `next` slot and runs on the worker that forked it, so no
+//     edge is needed (a later fork displaces it onto the deque, where it
+//     becomes stealable). It cannot be stolen while its parent's body
+//     runs; a body that waits on its children must wait through join() or
+//     wait_all(), which take the slot first (DESIGN.md §14.1).
 //   * join             — Task::pending acq_rel decrements; the child that
 //     hits zero acquires every sibling's effects, then runs the
 //     continuation in place on its own worker (task.hpp, complete()).
@@ -54,6 +60,7 @@
 #include <optional>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dcd/dcas/chaos.hpp"
@@ -269,6 +276,9 @@ class Executor {
     std::uint64_t lat_tick = 0;
     Task* free_head = nullptr;
     std::size_t free_count = 0;
+    // The last task this worker forked, not yet run (Go's runnext, Tokio's
+    // LIFO slot): owner-only, taken by run() and try_acquire().
+    Task* next = nullptr;
     // First dry sweep since the worker last ran a task (epoch while busy).
     std::chrono::steady_clock::time_point idle_since{};
     // Drain counts, single-writer like the telemetry below: tasks this
@@ -306,8 +316,12 @@ class Executor {
     void fork(Task* t) override {
       DCD_ASSERT(t != nullptr && t->fn != nullptr);
       bump(spawned);
-      owner->push_own(*this, t);
-      owner->wake_one();
+      // Only a displaced older sibling is shared work: nobody else can run
+      // the slot task, so keeping it needs no push and no wake.
+      if (Task* older = std::exchange(next, t)) {
+        owner->push_own(*this, older);
+        owner->wake_one();
+      }
     }
 
     std::size_t worker_id() const noexcept override { return id; }
@@ -368,18 +382,19 @@ class Executor {
     detail::tl_executor = nullptr;
   }
 
-  // One full acquisition attempt: own deque, then every other worker's
-  // deque once in randomized order, then the inbox. Returns nullptr on a
-  // dry sweep.
+  // One full acquisition attempt: the next slot, own deque, then every
+  // other worker's deque once in randomized order, then the inbox. Returns
+  // nullptr on a dry sweep.
   Task* try_acquire(Worker& w) {
     const bool sample =
         cfg_.latency_stride != 0 && ++w.lat_tick % cfg_.latency_stride == 0;
     const auto t0 = sample ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
-    Task* got = nullptr;
-    if (std::optional<Task*> t = Traits::pop_own(*w.deque)) {
-      got = *t;
-    } else {
+    Task* got = std::exchange(w.next, nullptr);
+    if (got == nullptr) {
+      if (std::optional<Task*> t = Traits::pop_own(*w.deque)) got = *t;
+    }
+    if (got == nullptr) {
       const std::size_t n = workers_.size();
       fire(dcas::sync_point::kExecSteal);
       const std::size_t start = w.rng.below(n);
@@ -427,15 +442,16 @@ class Executor {
     }
   }
 
-  // Runs `t`, then every continuation its completion makes ready, on this
-  // worker: a loop, not recursion, so a chain of continuations never grows
-  // the stack.
+  // Runs `t`, then every continuation its completion makes ready and the
+  // task it left in the next slot, on this worker: a loop, not recursion,
+  // so a chain of continuations or last children never grows the stack.
   void run(Worker& w, Task* t) {
     w.idle_since = {};  // a task ends the idle spell (idle_past_window)
     do {
       t->fn(w, *t);
       bump(w.executed);
       t = complete(w, t);
+      if (t == nullptr) t = std::exchange(w.next, nullptr);
     } while (t != nullptr);
   }
 
@@ -473,10 +489,11 @@ class Executor {
 
   // In-flight units by a double collect: every completed count first, then
   // every spawn count (the workers' and injected_). A unit's spawn happens
-  // before its completion (the deque or inbox transfer orders them), so a
-  // completion the first pass reads has its spawn counted by the second:
-  // the difference never wraps, and 0 means every unit ever spawned before
-  // the first pass had completed — the graph drained (DESIGN.md §14.1).
+  // before its completion (the deque or inbox transfer orders them; a slot
+  // task completes on the worker that forked it), so a completion the
+  // first pass reads has its spawn counted by the second: the difference
+  // never wraps, and 0 means every unit ever spawned before the first pass
+  // had completed — the graph drained (DESIGN.md §14.1).
   std::uint64_t in_flight() const {
     std::uint64_t done = 0;
     for (const Worker& w : workers_) {

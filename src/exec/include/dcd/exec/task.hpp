@@ -39,7 +39,9 @@ class TaskContext {
                        std::uint32_t pending = 0, std::uint64_t a0 = 0,
                        std::uint64_t a1 = 0, std::uint64_t a2 = 0) = 0;
 
-  // Make `t` runnable: push onto the calling worker's deque (owner end).
+  // Make `t` runnable on the calling worker: it takes the worker's next
+  // slot, and the task it displaces goes onto the worker's deque (owner
+  // end), where thieves can reach it.
   virtual void fork(Task* t) = 0;
 
   virtual std::size_t worker_id() const noexcept = 0;

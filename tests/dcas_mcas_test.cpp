@@ -13,6 +13,7 @@
 #include "dcd/util/barrier.hpp"
 #include "dcd/util/rng.hpp"
 #include "dcd/util/thread_registry.hpp"
+#include "pinned_threads.hpp"
 
 // Heap allocations made by the calling thread, counted by this binary's
 // replacement operator new.
@@ -149,7 +150,8 @@ TEST(Mcas, ReusedDescriptorsUnderOversubscription) {
   // 3-word CASN transfers and pair snapshots, so operations are preempted
   // mid-flight, helped, and their descriptors reused while stale helpers
   // still hold references. Transfers conserve the sum exactly; a 3-word
-  // identity CASN is an atomic snapshot that must see that sum too.
+  // identity CASN is an atomic snapshot that must see that sum too. The
+  // threads are pinned so that they overlap (pinned_threads.hpp).
   Telemetry::reset();
   constexpr int kThreads = 8;
   constexpr int kIters = 4000;
@@ -157,67 +159,63 @@ TEST(Mcas, ReusedDescriptorsUnderOversubscription) {
   constexpr std::uint64_t kTotal = 3 * kStart;
   Word w[3];
   for (auto& x : w) McasDcas::store_init(x, val(kStart));
-  dcd::util::SpinBarrier barrier(kThreads);
   std::atomic<int> torn{0};
-  std::vector<std::thread> ts;
-  for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&, t] {
-      dcd::util::Xoshiro256 rng(t + 11);
-      barrier.arrive_and_wait();
-      for (int i = 0; i < kIters; ++i) {
-        const std::size_t from = rng.below(3);
-        const std::size_t to = (from + 1 + rng.below(2)) % 3;
-        const std::size_t other = 3 - from - to;
-        switch (rng.below(3)) {
-          case 0: {  // move one unit between two words
-            for (;;) {
-              const std::uint64_t vf = decode_payload(McasDcas::load(w[from]));
-              const std::uint64_t vt = decode_payload(McasDcas::load(w[to]));
-              if (vf == 0) break;
-              if (McasDcas::dcas(w[from], w[to], val(vf), val(vt),
-                                 val(vf - 1), val(vt + 1))) {
-                break;
-              }
-            }
-            break;
-          }
-          case 1: {  // move two units: one each to the other two words
-            Word* addrs[] = {&w[from], &w[to], &w[other]};
-            for (;;) {
-              std::uint64_t olds[3], news[3];
-              for (int k = 0; k < 3; ++k) olds[k] = McasDcas::load(*addrs[k]);
-              const std::uint64_t vf = decode_payload(olds[0]);
-              if (vf < 2) break;
-              news[0] = val(vf - 2);
-              news[1] = val(decode_payload(olds[1]) + 1);
-              news[2] = val(decode_payload(olds[2]) + 1);
-              if (McasDcas::casn(addrs, olds, news, 3)) break;
-            }
-            break;
-          }
-          default: {  // pair snapshot, then an atomic triple
-            std::uint64_t va = 0, vb = 0;
-            McasDcas::snapshot(w[from], w[to], va, vb);
-            if (decode_payload(va) + decode_payload(vb) > kTotal) {
-              torn.fetch_add(1);
-            }
-            Word* addrs[] = {&w[0], &w[1], &w[2]};
-            for (;;) {
-              std::uint64_t olds[3];
-              for (int k = 0; k < 3; ++k) olds[k] = McasDcas::load(*addrs[k]);
-              if (!McasDcas::casn(addrs, olds, olds, 3)) continue;
-              if (decode_payload(olds[0]) + decode_payload(olds[1]) +
-                      decode_payload(olds[2]) != kTotal) {
-                torn.fetch_add(1);
-              }
+  const auto body = [&](std::size_t t) {
+    dcd::util::Xoshiro256 rng(t + 11);
+    for (int i = 0; i < kIters; ++i) {
+      const std::size_t from = rng.below(3);
+      const std::size_t to = (from + 1 + rng.below(2)) % 3;
+      const std::size_t other = 3 - from - to;
+      switch (rng.below(3)) {
+        case 0: {  // move one unit between two words
+          for (;;) {
+            const std::uint64_t vf = decode_payload(McasDcas::load(w[from]));
+            const std::uint64_t vt = decode_payload(McasDcas::load(w[to]));
+            if (vf == 0) break;
+            if (McasDcas::dcas(w[from], w[to], val(vf), val(vt),
+                               val(vf - 1), val(vt + 1))) {
               break;
             }
           }
+          break;
+        }
+        case 1: {  // move two units: one each to the other two words
+          Word* addrs[] = {&w[from], &w[to], &w[other]};
+          for (;;) {
+            std::uint64_t olds[3], news[3];
+            for (int k = 0; k < 3; ++k) olds[k] = McasDcas::load(*addrs[k]);
+            const std::uint64_t vf = decode_payload(olds[0]);
+            if (vf < 2) break;
+            news[0] = val(vf - 2);
+            news[1] = val(decode_payload(olds[1]) + 1);
+            news[2] = val(decode_payload(olds[2]) + 1);
+            if (McasDcas::casn(addrs, olds, news, 3)) break;
+          }
+          break;
+        }
+        default: {  // pair snapshot, then an atomic triple
+          std::uint64_t va = 0, vb = 0;
+          McasDcas::snapshot(w[from], w[to], va, vb);
+          if (decode_payload(va) + decode_payload(vb) > kTotal) {
+            torn.fetch_add(1);
+          }
+          Word* addrs[] = {&w[0], &w[1], &w[2]};
+          for (;;) {
+            std::uint64_t olds[3];
+            for (int k = 0; k < 3; ++k) olds[k] = McasDcas::load(*addrs[k]);
+            if (!McasDcas::casn(addrs, olds, olds, 3)) continue;
+            if (decode_payload(olds[0]) + decode_payload(olds[1]) +
+                    decode_payload(olds[2]) != kTotal) {
+              torn.fetch_add(1);
+            }
+            break;
+          }
         }
       }
-    });
-  }
-  for (auto& t : ts) t.join();
+    }
+  };
+  const std::size_t overlap = dcd::test::run_pinned_threads(kThreads, body);
+  EXPECT_GE(overlap, 2u) << "the threads ran one after another";
   EXPECT_EQ(torn.load(), 0);
   std::uint64_t sum = 0;
   for (auto& x : w) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -365,6 +366,119 @@ TEST(ExecutorDrain, ContinuationChainRunsInPlaceWithoutGrowingTheStack) {
   EXPECT_TRUE(log.same_worker);
   EXPECT_LT(log.frame_hi - log.frame_lo, 4096u);
   EXPECT_EQ(ex.stats().executed, kLinks);
+}
+
+// --- the next slot: a task's last forked child skips the deque -------------
+
+// Forks a fib(n) job makes: two per node with n >= 2.
+constexpr std::uint64_t fib_forks(std::uint64_t n) {
+  return n < 2 ? 0 : 2 + fib_forks(n - 1) + fib_forks(n - 2);
+}
+
+// A ListDeque that counts the executor's owner-end pushes and the ones that
+// came back full (DequeTraits' primary template drives push_right).
+struct CountingListDeque : deque::ListDeque<Task*> {
+  using deque::ListDeque<Task*>::ListDeque;
+
+  deque::PushResult push_right(Task* t) {
+    pushes.fetch_add(1, std::memory_order_relaxed);
+    const deque::PushResult r = deque::ListDeque<Task*>::push_right(t);
+    if (r != deque::PushResult::kOkay) {
+      full.fetch_add(1, std::memory_order_relaxed);
+    }
+    return r;
+  }
+
+  static inline std::atomic<std::uint64_t> pushes{0};
+  static inline std::atomic<std::uint64_t> full{0};
+};
+
+using CountingExec = Executor<CountingListDeque>;
+
+// Each fib node forks two children: the first waits in the next slot and
+// the second displaces it onto the deque, so a job pushes once per two
+// forks (a deque round trip per fork would push on every one). The root
+// comes in through the thief end, which is not counted.
+TEST(ExecutorSlot, LastForkedChildSkipsTheDeque) {
+  CountingExec ex(ExecConfig{.workers = 1});
+  for (const std::uint64_t n : {2u, 10u, 16u}) {
+    const std::uint64_t before = CountingListDeque::pushes.load();
+    std::uint64_t result = 0;
+    Latch latch(1);
+    ex.submit(ex.create(&fib_task, latch.task(), 0, n,
+                        reinterpret_cast<std::uint64_t>(&result)));
+    ex.join(latch);
+    EXPECT_EQ(result, fib_expected(n));
+    EXPECT_EQ(CountingListDeque::pushes.load() - before, fib_forks(n) / 2)
+        << "fib(" << n << ")";
+  }
+}
+
+void forks_one_then_joins(TaskContext& ctx, Task& t) {
+  auto* ex = reinterpret_cast<ListExec*>(t.args[0]);
+  Latch latch(1);
+  ctx.fork(ctx.create(&tree_task, latch.task(), 0, 0, t.args[1]));
+  ex->join(latch);
+}
+
+// At one worker the child a body forks last sits in the slot, where only
+// the body's own join() can reach it: the deque is empty, so nothing else
+// the worker runs would take the slot first. A deadline turns a join()
+// that misses the slot into a failure rather than a hang.
+TEST(ExecutorSlot, JoinRunsTheSlotTask) {
+  g_checksum.store(0, std::memory_order_relaxed);
+  auto ex = std::make_unique<ListExec>(ExecConfig{.workers = 1});
+  auto done = std::make_unique<Latch>(1);
+  ex->submit(ex->create(&forks_one_then_joins, done->task(), 0,
+                        reinterpret_cast<std::uint64_t>(ex.get()), 7));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (!done->done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  if (!done->done()) {
+    ADD_FAILURE() << "join() inside a task never ran its forked child";
+    // The worker spins in join() for good: destroying the executor would
+    // wait on it, so leak both it and the latch its task points at.
+    (void)ex.release();
+    (void)done.release();
+    return;
+  }
+  ex->wait_all();
+  EXPECT_EQ(g_checksum.load(std::memory_order_relaxed), tree_expected(0, 7));
+  EXPECT_EQ(ex->stats().executed, 2u);
+}
+
+// A two-node deque turns most displaced children into full pushes, which
+// run inline; the slot task forked just before must still run exactly
+// once.
+TEST(ExecutorSlot, FullDequeRunsDisplacedChildInline) {
+  g_checksum.store(0, std::memory_order_relaxed);
+  const std::uint64_t full_before = CountingListDeque::full.load();
+  ExecConfig cfg;
+  cfg.workers = 2;
+  cfg.deque_capacity = 2;
+  CountingExec ex(cfg);
+  ex.submit(ex.create(&tree_task, nullptr, 0, 10, 1));
+  ex.wait_all();
+  EXPECT_EQ(g_checksum.load(std::memory_order_relaxed), tree_expected(10, 1));
+  EXPECT_EQ(ex.stats().executed, (1u << 11) - 1);
+  EXPECT_GT(CountingListDeque::full.load() - full_before, 0u)
+      << "no push came back full; the inline path did not run";
+}
+
+// Displaced children stay on the deque, so idle workers still steal from a
+// fib tree.
+TEST(ExecutorSlot, DisplacedChildrenStayStealable) {
+  ListExec ex(ExecConfig{.workers = 4});
+  std::uint64_t result = 0;
+  Latch latch(1);
+  ex.submit(ex.create(&fib_task, latch.task(), 0, 22,
+                      reinterpret_cast<std::uint64_t>(&result)));
+  ex.join(latch);
+  EXPECT_EQ(result, fib_expected(22));
+  ex.wait_all();
+  EXPECT_GT(ex.stats().steals, 0u);
 }
 
 // --- idle-path backoff accounting (satellite: PR 6 yields() contract) -----
